@@ -11,14 +11,24 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(pub u32);
 
+/// A process's dense page table. VPNs are handed out contiguously
+/// from `base_vpn` and never unmapped, so page `base_vpn + i` maps to
+/// `frames[i]`.
 #[derive(Debug, Clone, Default)]
 struct AddressSpace {
-    /// Virtual page number → physical frame number.
-    page_table: BTreeMap<u64, u64>,
-    /// Next virtual page number handed out by the allocator.
-    next_vpn: u64,
+    /// First virtual page number of the process.
+    base_vpn: u64,
+    /// Physical frame of each mapped page, in VPN order.
+    frames: Vec<u64>,
     /// Protection domain (partitioned-cache experiments).
     domain: Domain,
+}
+
+impl AddressSpace {
+    /// The VPN the next mapping gets.
+    fn next_vpn(&self) -> u64 {
+        self.base_vpn + self.frames.len() as u64
+    }
 }
 
 /// A single physical core with its cache hierarchy, plus the set of
@@ -97,7 +107,7 @@ impl Machine {
     pub fn create_process(&mut self) -> Pid {
         let pid = self.spaces.len() as u64;
         let space = AddressSpace {
-            next_vpn: 0x10_000 + pid * 0x3571,
+            base_vpn: 0x10_000 + pid * 0x3571,
             ..AddressSpace::default()
         };
         self.spaces.push(space);
@@ -124,18 +134,12 @@ impl Machine {
     /// Panics if `pid` does not exist or `n == 0`.
     pub fn alloc_pages(&mut self, pid: Pid, n: u64) -> VirtAddr {
         assert!(n > 0, "cannot allocate zero pages");
-        let base_vpn = {
-            let space = self.space_mut(pid);
-            let base = space.next_vpn;
-            space.next_vpn += n;
-            base
-        };
-        for i in 0..n {
-            let frame = self.next_frame;
-            self.next_frame += 1;
-            self.space_mut(pid).page_table.insert(base_vpn + i, frame);
-        }
-        VirtAddr::from_page(base_vpn, 0)
+        let first = self.next_frame;
+        self.next_frame += n;
+        let space = self.space_mut(pid);
+        let vpn = space.next_vpn();
+        space.frames.extend(first..first + n);
+        VirtAddr::from_page(vpn, 0)
     }
 
     /// Maps one *shared* page into two processes (the "shared library
@@ -145,27 +149,25 @@ impl Machine {
     pub fn map_shared_page(&mut self, a: Pid, b: Pid) -> (VirtAddr, VirtAddr) {
         let frame = self.next_frame;
         self.next_frame += 1;
-        let va_a = {
-            let space = self.space_mut(a);
-            let vpn = space.next_vpn;
-            space.next_vpn += 1;
-            space.page_table.insert(vpn, frame);
+        let mut map = |pid| {
+            let space = self.space_mut(pid);
+            let vpn = space.next_vpn();
+            space.frames.push(frame);
             VirtAddr::from_page(vpn, 0)
         };
-        let va_b = {
-            let space = self.space_mut(b);
-            let vpn = space.next_vpn;
-            space.next_vpn += 1;
-            space.page_table.insert(vpn, frame);
-            VirtAddr::from_page(vpn, 0)
-        };
-        (va_a, va_b)
+        (map(a), map(b))
     }
 
     /// Translates a virtual address. Returns `None` for unmapped
     /// pages.
+    ///
+    /// O(1): a process's mapped VPNs are exactly `base_vpn ..
+    /// base_vpn + frames.len()` (contiguous, never unmapped), so the
+    /// lookup is one subtraction and one bounds-checked index.
     pub fn translate(&self, pid: Pid, va: VirtAddr) -> Option<PhysAddr> {
-        let frame = *self.space(pid).page_table.get(&va.page_number())?;
+        let space = self.space(pid);
+        let index = va.page_number().checked_sub(space.base_vpn)?;
+        let frame = *space.frames.get(usize::try_from(index).ok()?)?;
         Some(PhysAddr::from_frame(frame, va.page_offset()))
     }
 
@@ -269,7 +271,10 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache_sim::addr::PAGE_SHIFT;
     use cache_sim::hierarchy::HitLevel;
+    use proptest::prelude::*;
+    use std::panic::{self, AssertUnwindSafe};
 
     fn machine() -> Machine {
         Machine::new(MicroArch::sandy_bridge_e5_2690(), PolicyKind::TreePlru, 1)
@@ -352,16 +357,97 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unmapped")]
     fn unmapped_access_panics() {
         let mut m = machine();
         let p = m.create_process();
-        let _ = m.access(p, VirtAddr::from_page(999, 0));
+        let base = m.alloc_pages(p, 2);
+        let unmapped = [
+            // Below the process's base.
+            VirtAddr::from_page(999, 0),
+            // One page past the last mapped page.
+            base.add(2 * PAGE_SIZE),
+            // The largest representable page number.
+            VirtAddr::from_page(u64::MAX >> PAGE_SHIFT, 0),
+        ];
+        for va in unmapped {
+            assert_eq!(m.translate(p, va), None, "{va}");
+            let loaded = panic::catch_unwind(AssertUnwindSafe(|| m.clone().access(p, va)));
+            let written = panic::catch_unwind(AssertUnwindSafe(|| m.clone().write_byte(p, va, 1)));
+            for err in [loaded.unwrap_err(), written.unwrap_err()] {
+                let msg = err.downcast_ref::<String>().expect("formatted panic");
+                assert!(msg.contains("unmapped"), "{msg}");
+            }
+        }
     }
 
     #[test]
     fn l1_span_is_one_page_for_paper_geometry() {
         let m = machine();
         assert_eq!(m.pages_per_l1_span(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random interleavings of `create_process` / `alloc_pages` /
+        /// `map_shared_page` against a `(pid, vpn) → frame` map kept
+        /// beside the machine: every mapped page translates to its
+        /// frame with the offset intact, and the pages just below and
+        /// past each process's range, plus every page of a
+        /// neighbouring process's range, stay unmapped.
+        #[test]
+        fn translate_matches_map_oracle(
+            ops in collection::vec((0u8..3, 0u32..=u32::MAX, 0u32..=u32::MAX), 1..60),
+            offset in 0u64..PAGE_SIZE,
+        ) {
+            let mut m = machine();
+            let mut pids = vec![m.create_process(), m.create_process()];
+            let mut oracle: BTreeMap<(Pid, u64), u64> = BTreeMap::new();
+            let mut next_frame = 1;
+            for (kind, x, y) in ops {
+                let pick = |i: u32| pids[i as usize % pids.len()];
+                match kind {
+                    0 => pids.push(m.create_process()),
+                    1 => {
+                        let (p, n) = (pick(x), 1 + u64::from(y % 8));
+                        let vpn = m.alloc_pages(p, n).page_number();
+                        for i in 0..n {
+                            oracle.insert((p, vpn + i), next_frame);
+                            next_frame += 1;
+                        }
+                    }
+                    _ => {
+                        let (a, b) = (pick(x), pick(y));
+                        let (va_a, va_b) = m.map_shared_page(a, b);
+                        oracle.insert((a, va_a.page_number()), next_frame);
+                        oracle.insert((b, va_b.page_number()), next_frame);
+                        next_frame += 1;
+                    }
+                }
+            }
+            for (&(p, vpn), &frame) in &oracle {
+                prop_assert_eq!(
+                    m.translate(p, VirtAddr::from_page(vpn, offset)),
+                    Some(PhysAddr::from_frame(frame, offset))
+                );
+            }
+            let range = |p: Pid| {
+                let vpns = oracle.range((p, 0)..=(p, u64::MAX)).map(|(&(_, v), _)| v);
+                vpns.clone().min().zip(vpns.max())
+            };
+            for &p in &pids {
+                let Some((lo, hi)) = range(p) else { continue };
+                for vpn in [lo - 1, hi + 1] {
+                    prop_assert_eq!(m.translate(p, VirtAddr::from_page(vpn, offset)), None);
+                }
+                for &q in pids.iter().filter(|&&q| q != p) {
+                    let Some((q_lo, q_hi)) = range(q) else { continue };
+                    for vpn in q_lo..=q_hi {
+                        prop_assert!(!oracle.contains_key(&(p, vpn)));
+                        prop_assert_eq!(m.translate(p, VirtAddr::from_page(vpn, offset)), None);
+                    }
+                }
+            }
+        }
     }
 }
