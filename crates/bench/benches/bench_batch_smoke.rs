@@ -14,7 +14,7 @@
 //!   error-rate sweep streamed through `ScalarStats`, both asserted
 //!   bit-identical on 1 and 4 workers. Live memory is
 //!   `O(workers × chunk)` accumulators by construction
-//!   (`lru_channel::trials::run_trials_fold`), never `O(trials)`.
+//!   (`lru_channel::trials::run_trials_fold_ctrl`), never `O(trials)`.
 //!
 //! Run with:
 //!
@@ -25,10 +25,11 @@
 use std::time::Instant;
 
 use bench_harness::{header, BENCH_SEED};
-use lru_channel::trials::set_worker_count;
+use lru_channel::trials::RunCtrl;
 use scenario::aggregate::ScalarStats;
-use scenario::registry::{self, RunOpts};
+use scenario::registry::{self, Artifact, Report, RunOpts};
 use scenario::spec::{ExperimentKind, InitId, MessageSource, Scenario, SequenceId};
+use scenario::{Aggregate, CancelToken, Engine, LockstepMode};
 
 /// Trials of the large streaming sweep (the acceptance floor).
 const SWEEP_TRIALS: usize = 1_000_000;
@@ -36,6 +37,23 @@ const SWEEP_TRIALS: usize = 1_000_000;
 /// Trials of the fig4-style error-rate stream (each trial is a full
 /// covert run: machine build, transmit, decode, score).
 const FIG4_STYLE_TRIALS: usize = 20_000;
+
+/// Runs `artifact` on `workers` threads (0 = the host's width).
+fn run_on(workers: usize, artifact: &Artifact, opts: &RunOpts) -> Report {
+    let engine = Engine::new().with_workers(workers);
+    let (report, _status) = engine
+        .run_artifact(artifact, opts, None, &CancelToken::new())
+        .unwrap_or_else(|e| panic!("{}: {e}", artifact.id));
+    report
+}
+
+/// The scenario's default streaming summary on `workers` threads.
+fn summary_on(workers: usize, sc: &Scenario) -> scenario::Value {
+    let ctrl = RunCtrl::new().with_workers(workers);
+    Aggregate::for_scenario(sc)
+        .reduce(sc, None, &ctrl)
+        .expect("summary runs")
+}
 
 fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
@@ -93,7 +111,7 @@ fn main() {
     let (batch_secs, ()) = timed(|| {
         for id in registry::ids() {
             let artifact = registry::get(id).expect("registered");
-            let (secs, report) = timed(|| artifact.run(&opts));
+            let (secs, report) = timed(|| run_on(0, artifact, &opts));
             assert_eq!(report.id, id);
             per_artifact.push((id, secs));
         }
@@ -111,10 +129,8 @@ fn main() {
     for id in ["fig5", "fig6"] {
         let artifact = registry::get(id).expect("registered");
         let natural = RunOpts::default();
-        set_worker_count(1);
-        let (seq_secs, seq) = timed(|| artifact.run(&natural));
-        set_worker_count(0);
-        let (def_secs, def) = timed(|| artifact.run(&natural));
+        let (seq_secs, seq) = timed(|| run_on(1, artifact, &natural));
+        let (def_secs, def) = timed(|| run_on(0, artifact, &natural));
         let identical = seq.text == def.text && seq.metrics.to_string() == def.metrics.to_string();
         assert!(identical, "{id}: output must not depend on worker count");
         println!("{id}: sequential {seq_secs:.4}s, default workers {def_secs:.4}s (bit-identical)");
@@ -123,11 +139,8 @@ fn main() {
 
     // ---- streaming: the ≥1M-trial constant-memory sweep ----
     let sweep = sweep_scenario();
-    set_worker_count(1);
-    let (sweep_seq_secs, sweep_seq) = timed(|| sweep.run_summary());
-    set_worker_count(4);
-    let (sweep_par_secs, sweep_par) = timed(|| sweep.run_summary());
-    set_worker_count(0);
+    let (sweep_seq_secs, sweep_seq) = timed(|| summary_on(1, &sweep));
+    let (sweep_par_secs, sweep_par) = timed(|| summary_on(4, &sweep));
     assert_eq!(
         sweep_seq.to_string(),
         sweep_par.to_string(),
@@ -149,7 +162,11 @@ fn main() {
     // ---- streaming: fig4-style error-rate stream ----
     let fig4ish = fig4_style_scenario();
     let stats = ScalarStats::new(&["error_rate"]);
-    let (fig4_secs, fig4_out) = timed(|| fig4ish.run_reduced(&stats));
+    let (fig4_secs, fig4_out) = timed(|| {
+        fig4ish
+            .run_reduced(&stats, None, &RunCtrl::new(), LockstepMode::Auto)
+            .expect("fig4-style stream runs")
+    });
     let err_mean = fig4_out
         .get("keys")
         .and_then(|k| k.get("error_rate"))
@@ -213,7 +230,7 @@ fn main() {
         FIG4_STYLE_TRIALS as f64 / fig4_secs
     ));
     json.push_str("    },\n");
-    json.push_str("    \"memory\": \"live accumulators bounded at O(workers x chunk) by the backpressured in-order merge (lru_channel::trials::run_trials_fold); chunk layout is a function of trial count only, so output is bit-identical for any --threads\"\n");
+    json.push_str("    \"memory\": \"live accumulators bounded at O(workers x chunk) by the backpressured in-order merge (lru_channel::trials::run_trials_fold_ctrl); chunk layout is a function of trial count only, so output is bit-identical for any --threads\"\n");
     json.push_str("  }\n");
     json.push_str("}\n");
     // Tests and benches run with CWD = the package dir; anchor the

@@ -29,6 +29,7 @@ use lru_channel::covert::{percent_ones, percent_ones_noisy, Variant};
 use lru_channel::noise::NoiseModel;
 use lru_channel::params::{ChannelParams, Platform};
 use scenario::registry::{self, RunOpts};
+use scenario::CancelToken;
 
 /// Samples per timed percent-ones cell (fig6's natural count).
 const SAMPLES: usize = 150;
@@ -142,8 +143,18 @@ fn main() {
     let grid_samples = registry::NOISE_GRID_SAMPLES;
     let opts = RunOpts::default();
     let cells = artifact.scenarios(&opts).len();
-    let (grid_secs, report) = timed(|| artifact.run(&opts));
-    println!("ablation_noise_grid: {cells} cells at natural samples in {grid_secs:.2}s");
+    let host_threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let engine = scenario::Engine::new().with_workers(host_threads);
+    let (grid_secs, (report, _status)) = timed(|| {
+        engine
+            .run_artifact(artifact, &opts, None, &CancelToken::new())
+            .expect("ablation_noise_grid runs")
+    });
+    println!(
+        "ablation_noise_grid: {cells} cells at natural samples on {host_threads} workers in {grid_secs:.2}s"
+    );
     assert!(report.text.contains("shape check"), "grid must render");
 
     assert!(
@@ -158,9 +169,6 @@ fn main() {
         &["timesliced_percent_ones", "speedup"],
         ts_speedup,
     );
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let json = format!(
         "{{\n  \
          \"what\": \"fast-forwarding execution engine vs the retained op-at-a-time interpreter (sched::reference), observables asserted identical per run\",\n  \

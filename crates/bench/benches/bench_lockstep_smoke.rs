@@ -69,7 +69,7 @@ fn run(scenario: &Scenario, mode: LockstepMode) -> (f64, String) {
     let ctrl = RunCtrl::new().with_workers(1);
     let start = Instant::now();
     let out = scenario
-        .run_reduced_ctrl_mode(&CollectMetrics, None, &ctrl, mode)
+        .run_reduced(&CollectMetrics, None, &ctrl, mode)
         .expect("cell runs");
     (start.elapsed().as_secs_f64(), out.to_string())
 }

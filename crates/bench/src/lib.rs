@@ -1,28 +1,30 @@
-//! # bench-harness — regenerate every table and figure of the paper
+//! # bench-harness — perf smoke benches and micro-benchmarks
 //!
-//! Each bench target (`harness = false`) reruns one experiment of
-//! *"Leaking Information Through Cache LRU States"* (HPCA 2020) on
-//! the simulated platforms and prints the same rows/series the paper
-//! reports. Run everything with `cargo bench --workspace`, or one
-//! experiment with `cargo bench -p bench-harness --bench <name>`.
-//!
-//! Since the scenario redesign the targets are thin wrappers: every
+//! The paper's tables and figures are not bench targets: every
 //! experiment lives in [`scenario::registry`] as a declarative grid,
-//! and a bench target just fetches its artifact and prints the
-//! report ([`run_artifact`]). The `lru-leak` CLI runs the *same*
-//! grids, so `lru-leak run fig6 --json` emits exactly the numbers
-//! `cargo bench --bench fig6_timesliced` prints, for the same seed.
+//! and `lru-leak run <id>` (or `lru-leak run-all`) runs it and prints
+//! its report. The long names the old per-artifact bench targets
+//! had (`fig6_timesliced`, `table1_plru_eviction`, …) are accepted
+//! by `lru-leak run` too. The end-to-end and per-layer benchmark is
+//! the standalone `perfbench` package.
 //!
-//! The absolute numbers come from a simulator, not the authors'
-//! testbed; EXPERIMENTS.md records, per experiment, which *shape*
-//! must hold (who wins, by what factor, where crossovers fall) and
-//! whether it does.
+//! What remains here measures the simulator itself:
+//!
+//! * `bench_perf_smoke`, `bench_batch_smoke`, `bench_execsim_smoke`
+//!   and `bench_lockstep_smoke` time one hot path each at explicit
+//!   worker widths, assert their equivalence claims, and update the
+//!   checked-in `BENCH_*.json` trajectories through the helpers of
+//!   this library;
+//! * `micro` holds the criterion micro-benchmarks of the cache
+//!   model, replacement policies, measurement machinery and
+//!   decoders.
+//!
+//! Run one with `cargo bench -p bench-harness --bench <name>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use scenario::fmt::{kbps, pct, pct1, sparkline, BENCH_SEED};
-use scenario::registry::{self, RunOpts};
 use scenario::Value;
 
 /// Prints the standard experiment header (used by the perf smoke
@@ -31,20 +33,6 @@ pub fn header(id: &str, paper_ref: &str, what: &str) {
     let mut buf = String::new();
     scenario::fmt::header(&mut buf, id, paper_ref, what);
     print!("{buf}");
-}
-
-/// Runs a registered paper artifact and prints its report — the
-/// whole body of every figure/table bench target.
-///
-/// # Panics
-///
-/// Panics if `id` is not in the registry (a bench target naming a
-/// missing artifact is a build-time bug, and the registry
-/// completeness test pins the mapping).
-pub fn run_artifact(id: &str) {
-    let artifact = registry::get(id)
-        .unwrap_or_else(|| panic!("bench target references unknown artifact {id:?}"));
-    print!("{}", artifact.run(&RunOpts::default()).text);
 }
 
 /// Prints the one-line old→new comparison every perf gate emits

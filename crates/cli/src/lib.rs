@@ -17,8 +17,8 @@
 //! ```
 //!
 //! Everything is a thin veneer over [`scenario::registry`]: `run`
-//! executes the same grid the matching `cargo bench` target runs, so
-//! for a fixed seed the CLI's numbers *are* the bench numbers, and
+//! executes one artifact's grid (by ID or by its long name, e.g.
+//! `fig6_timesliced`) and prints the paper's table for it, and
 //! `run-all` executes the entire registry as one batch job. `show`
 //! prints an artifact's grid with every axis spelled out — including
 //! the noise axis and per-cell trial counts that default-omitting
@@ -79,14 +79,16 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use lru_channel::trials::{FoldError, RunCtrl};
+use lru_channel::trials::RunCtrl;
 use lru_leak_server::{client as service_client, Server, ServerConfig, DEFAULT_ADDR};
 use scenario::registry::{self, RunOpts};
 use scenario::spec::Scenario;
 use scenario::{
-    CancelToken, Engine, EngineError, FaultPlan, JobStatus, LockstepMode, ResultCache, Value,
+    CancelToken, Engine, EngineError, FaultPlan, Job, JobProgress, JobStatus, LockstepMode,
+    ResultCache, Value,
 };
 
 /// A CLI failure: the message to print on stderr and the exit code.
@@ -160,9 +162,9 @@ ARTIFACTS:
 OPTIONS:
     --trials N    Override the artifact's natural per-point trial /
                   sample count (artifacts without a trial axis ignore it)
-    --threads K   Pin the parallel trial driver to K workers
-                  (results are bit-identical for any K; 1 = sequential;
-                  takes precedence over LRU_LEAK_THREADS)
+    --threads K   Run the parallel trial driver on K workers (default:
+                  the host's available parallelism; 1 = sequential).
+                  Results are bit-identical for any K
     --seed S      Master seed (default: the fixed bench seed)
     --json        Emit the deterministic JSON metrics instead of tables
     --csv         run only: flatten the report's summary into
@@ -380,16 +382,35 @@ fn opts_from(flags: &Flags) -> RunOpts {
     }
 }
 
-/// `adhoc` only: pins the process-global worker count. `run`,
-/// `run-all` and the server size their pools per job through
-/// [`Engine::with_workers`] instead, so `--threads` never sticks
-/// beyond the job it was given for (the global
-/// [`lru_channel::trials::set_worker_count`] latches on first use —
-/// fine for a one-shot process, wrong for a long-lived one).
-fn apply_threads(flags: &Flags) {
-    if let Some(threads) = flags.threads {
-        lru_channel::trials::set_worker_count(threads);
-    }
+/// Runs an `adhoc` scenario as a one-cell job through the engine
+/// `run` and `run-all` use, reporting per-trial progress.
+fn adhoc_outcome(
+    sc: &Scenario,
+    flags: &Flags,
+    fault: Option<FaultPlan>,
+    sink: ProgressSink,
+) -> Result<Value, CliError> {
+    // adhoc rejects --cache-dir and --timeout-secs up front, so this
+    // is the plain engine at the --threads width and --lockstep mode.
+    let (engine, _cache) = build_engine(flags, fault)?;
+    // The observer fires after every trial and again when the cell
+    // completes; report each trial count once.
+    let reported = AtomicUsize::new(0);
+    let observer = |p: JobProgress| {
+        if reported.fetch_max(p.trials_done, Ordering::Relaxed) < p.trials_done {
+            emit_progress(sink, "adhoc", "trials", p.trials_done, p.trials);
+        }
+    };
+    let observer: Option<scenario::engine::JobProgressFn> = if flags.progress {
+        Some(&observer)
+    } else {
+        None
+    };
+    let job = Job::from_scenario("adhoc", sc.clone());
+    let (mut outcomes, _status) = engine
+        .run_job_observed(&job, observer, &CancelToken::new())
+        .map_err(|e| CliError::run(format!("adhoc: {e}")))?;
+    Ok(outcomes.remove(0))
 }
 
 /// The service address a client command talks to.
@@ -551,17 +572,19 @@ fn emit_progress(sink: ProgressSink, what: &str, unit: &str, done: usize, total:
     }
 }
 
-/// Builds the job engine a `run`/`run-all` invocation executes
-/// through: result cache from `--cache-dir`, per-artifact deadline
-/// from `--timeout-secs`, per-job worker width from `--threads`,
-/// plus the test-only fault plan when driven via
+/// Builds the job engine a `run`/`run-all`/`adhoc` invocation
+/// executes through: worker width from `--threads`, lockstep mode
+/// from `--lockstep`, result cache from `--cache-dir`, per-artifact
+/// deadline from `--timeout-secs`, plus the test-only fault plan when driven via
 /// [`run_cli_faulted`]. Also returns a handle on the cache so the
 /// caller can report its hit/miss counters after the batch.
 fn build_engine(
     flags: &Flags,
     fault: Option<FaultPlan>,
 ) -> Result<(Engine, Option<ResultCache>), CliError> {
-    let mut engine = Engine::new();
+    let mut engine = Engine::new()
+        .with_workers(flags.threads.unwrap_or(0))
+        .with_lockstep(flags.lockstep.unwrap_or_default());
     let mut cache_handle = None;
     if let Some(dir) = &flags.cache_dir {
         let cache = ResultCache::open(dir)
@@ -571,12 +594,6 @@ fn build_engine(
     }
     if let Some(secs) = flags.timeout_secs {
         engine = engine.with_timeout(Duration::from_secs(secs));
-    }
-    if let Some(threads) = flags.threads {
-        engine = engine.with_workers(threads);
-    }
-    if let Some(mode) = flags.lockstep {
-        engine = engine.with_lockstep(mode);
     }
     if let Some(plan) = fault {
         engine = engine.with_fault_plan(plan);
@@ -652,8 +669,8 @@ pub fn run_cli_with(args: &[String], sink: ProgressSink) -> Result<String, CliEr
 
 /// [`run_cli_with`] with a [`FaultPlan`] attached to the engine —
 /// test support for the resilience suite, which drives faulted
-/// `run`/`run-all` invocations in-process and pins their output
-/// against fault-free runs.
+/// `run`/`run-all`/`adhoc` invocations in-process and pins their
+/// output against fault-free runs.
 ///
 /// # Errors
 ///
@@ -956,7 +973,6 @@ fn run_cli_inner(
                      with the per-trial adhoc path",
                 ));
             }
-            apply_threads(&flags);
             let mut sc = load_scenario(spec)?;
             if let Some(trials) = flags.trials {
                 sc.trials = trials.max(1);
@@ -973,28 +989,25 @@ fn run_cli_inner(
                     return Err(CliError::run(format!("--lockstep=force: {reason}")));
                 }
             }
-            let mode = flags.lockstep.unwrap_or(LockstepMode::Auto);
-            let cb =
-                |done: usize, total: usize| emit_progress(sink, "adhoc", "trials", done, total);
-            let progress: Option<scenario::ProgressFn> =
-                if flags.progress { Some(&cb) } else { None };
             let outcome = if flags.summary {
                 // Stream through the scenario's constant-memory
                 // default aggregate (noisy covert scenarios get the
                 // channel-capacity estimate): O(workers × chunk)
                 // memory even for million-trial sweeps.
-                scenario::Aggregate::for_scenario(&sc).reduce(&sc, progress)
+                let cb = |done: usize, total: usize| {
+                    emit_progress(sink, "adhoc", "trials", done, total);
+                };
+                let progress: Option<scenario::ProgressFn> =
+                    if flags.progress { Some(&cb) } else { None };
+                let ctrl = RunCtrl::new().with_workers(flags.threads.unwrap_or(0));
+                scenario::Aggregate::for_scenario(&sc)
+                    .reduce(&sc, progress, &ctrl)
+                    .map_err(|e| CliError::run(format!("adhoc: {e}")))?
             } else {
-                // Identical bytes to sc.run() in every mode, with
-                // the progress callback and lockstep routing
-                // threaded through.
-                match sc.run_ctrl_with_mode(progress, &RunCtrl::new(), mode) {
-                    Ok(v) => v,
-                    Err(FoldError::Cancelled) => {
-                        unreachable!("default RunCtrl never cancels")
-                    }
-                    Err(FoldError::ChunkPanicked { payload, .. }) => std::panic::panic_any(payload),
-                }
+                // The engine path run/run-all take: identical bytes
+                // to sc.run() in every lockstep mode, a twice-panicked
+                // chunk is a runtime error, not a process panic.
+                adhoc_outcome(&sc, &flags, fault, sink)?
             };
             let result = Value::obj()
                 .with("scenario", sc.to_json())

@@ -350,33 +350,6 @@ pub struct GridPoint {
     pub seed: u64,
 }
 
-/// Evaluates a whole percent-of-ones grid, one independent
-/// [`percent_ones`] run per point, fanned out over the host's cores
-/// by [`crate::trials::run_trials`].
-///
-/// Each point's run is seeded only by its own [`GridPoint::seed`],
-/// so the returned fractions (in `points` order) are bit-identical
-/// to evaluating the points sequentially — the property the
-/// `trial_driver_determinism` suite pins down.
-///
-/// # Errors
-///
-/// Returns the first [`ParamError`] in `points` order, if any point
-/// has parameters that do not fit the platform's L1 geometry.
-pub fn percent_ones_grid(
-    platform: Platform,
-    variant: Variant,
-    points: &[GridPoint],
-    n_samples: usize,
-) -> Result<Vec<f64>, ParamError> {
-    crate::trials::run_trials(points.len(), |i| {
-        let p = points[i];
-        percent_ones(platform, p.params, variant, p.bit, n_samples, p.seed)
-    })
-    .into_iter()
-    .collect()
-}
-
 /// [`percent_ones`] under a parametric [`NoiseModel`]: the
 /// interference process time-slices the core as a third party.
 /// `NoiseModel::None` delegates to [`percent_ones`] unchanged.

@@ -541,7 +541,7 @@ impl FaultPlan {
 pub struct Engine {
     cache: Option<ResultCache>,
     timeout: Option<Duration>,
-    workers: Option<usize>,
+    workers: usize,
     fault: Option<FaultPlan>,
     lockstep: LockstepMode,
 }
@@ -567,15 +567,15 @@ impl Engine {
         self
     }
 
-    /// Sizes this engine's jobs to `workers` threads via the per-run
-    /// [`RunCtrl`] override — the process-global
-    /// [`lru_channel::trials::set_worker_count`] is never touched, so
-    /// a long-lived host (the `lru-leak` server) can run consecutive
-    /// jobs at different widths without one request's setting
-    /// sticking. Results are bit-identical for any width.
+    /// Sizes this engine's jobs to `workers` threads (`0`, the
+    /// default, means the host's available parallelism). The width
+    /// travels in each job's [`RunCtrl`], so engines of different
+    /// widths can run side by side in one process — a long-lived host
+    /// (the `lru-leak` server) sizes every request on its own.
+    /// Results are bit-identical for any width.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Engine {
-        self.workers = (workers > 0).then_some(workers);
+        self.workers = workers;
         self
     }
 
@@ -630,7 +630,7 @@ impl Engine {
         cancel: &CancelToken,
     ) -> Result<(Vec<Value>, JobStatus), EngineError> {
         let ctrl = self.job_ctrl(cancel);
-        self.run_job_ctrl(job, progress, &ctrl)
+        self.run_job_inner(job, progress, None, &ctrl)
     }
 
     /// [`Engine::run_job`] with a rich [`JobProgress`] observer
@@ -654,34 +654,13 @@ impl Engine {
     }
 
     /// Derives one job's control block: deadline child token when a
-    /// timeout is configured, per-run worker override when a width
-    /// is.
+    /// timeout is configured, and the engine's width.
     fn job_ctrl(&self, cancel: &CancelToken) -> RunCtrl {
         let token = match self.timeout {
             Some(t) => cancel.child_with_timeout(t),
             None => cancel.clone(),
         };
-        let mut ctrl = RunCtrl::with_cancel(token);
-        if let Some(w) = self.workers {
-            ctrl = ctrl.with_workers(w);
-        }
-        ctrl
-    }
-
-    /// [`Engine::run_job`] under a caller-supplied [`RunCtrl`] —
-    /// the timeout-child derivation is skipped, so the caller owns
-    /// the whole cancellation story (used by [`Artifact::run_ctrl`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::run_job`].
-    pub fn run_job_ctrl(
-        &self,
-        job: &Job,
-        progress: Option<ProgressFn>,
-        ctrl: &RunCtrl,
-    ) -> Result<(Vec<Value>, JobStatus), EngineError> {
-        self.run_job_inner(job, progress, None, ctrl)
+        RunCtrl::with_cancel(token).with_workers(self.workers)
     }
 
     /// Shared body of the `run_job*` entry points.
@@ -706,7 +685,6 @@ impl Engine {
         };
         let total = job.grid.len();
         let outcomes = run_trials_fold_ctrl(
-            ctrl.workers(),
             total,
             ctrl,
             |i| run.cell(i),
@@ -739,8 +717,9 @@ impl Engine {
     }
 
     /// [`Engine::run_job`] for a registry artifact, rendered into the
-    /// artifact's [`Report`]. The report bytes are identical to
-    /// [`Artifact::run`] whenever the job completes.
+    /// artifact's [`Report`] — the one way to run a registry artifact.
+    /// The report bytes are identical to [`Artifact::run_buffered`]
+    /// whenever the job completes.
     ///
     /// # Errors
     ///
@@ -852,7 +831,7 @@ impl JobRun<'_> {
             }
         };
         let trial_progress: Option<ProgressFn> = self.observer.is_some().then_some(&trial_cb);
-        match scenario.run_ctrl_with_mode(trial_progress, self.ctrl, self.engine.lockstep) {
+        match scenario.run_ctrl(trial_progress, self.ctrl, self.engine.lockstep) {
             Ok(outcome) => {
                 if let Some(cache) = &self.engine.cache {
                     // A failed store only loses the cache benefit.

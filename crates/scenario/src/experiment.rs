@@ -52,7 +52,7 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use workloads::spec_like::Benchmark;
 
-use crate::aggregate::{Aggregate, CollectMetrics, ProgressFn, Reducer};
+use crate::aggregate::{CollectMetrics, ProgressFn, Reducer};
 use crate::json::Value;
 use crate::spec::{
     ChannelId, DefenseId, ExperimentKind, HierarchyId, InitId, MessageSource, Scenario, SequenceId,
@@ -117,18 +117,25 @@ impl Scenario {
     /// directly when `trials == 1`) and returns the metrics — a
     /// single tree for one trial, an array for several.
     ///
-    /// Since the streaming refactor this is [`Scenario::run_reduced`]
-    /// with the [`CollectMetrics`] compatibility reducer: the output
-    /// is byte-identical to the old buffered path (pinned by
+    /// The infallible convenience form of [`Scenario::run_ctrl`]:
+    /// default width, lockstep `Auto`, no progress. The output is
+    /// byte-identical to the buffered oracle (pinned by
     /// `tests/streaming_equivalence.rs`), but the trials flow through
     /// the chunked work-stealing scheduler. For large `trials`,
-    /// prefer [`Scenario::run_summary`] or a constant-memory
-    /// [`Reducer`] of your own.
+    /// prefer [`Scenario::run_reduced`] with a constant-memory
+    /// [`Reducer`] such as
+    /// [`Aggregate::for_scenario`](crate::Aggregate::for_scenario)'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a trial chunk panics on its original run and on its
+    /// deterministic retry.
     pub fn run(&self) -> Value {
         if self.trials <= 1 {
             return self.run_once(self.seed).metrics;
         }
-        self.run_reduced(&CollectMetrics)
+        self.run_ctrl(None, &RunCtrl::new(), LockstepMode::Auto)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The pre-refactor buffered reference: run every trial
@@ -145,68 +152,41 @@ impl Scenario {
         Value::Arr(outs)
     }
 
-    /// Streams the scenario's trials through `reducer`. The result
-    /// is bit-identical for any worker count, and the driver keeps
-    /// only `O(workers)` live accumulators plus `O(workers × chunk)`
-    /// in-flight trial results — so with a constant-size accumulator
+    /// Streams the scenario's trials through `reducer` on `ctrl`'s
+    /// worker count. The result is bit-identical for any worker
+    /// count, and the driver keeps only `O(workers)` live
+    /// accumulators plus `O(workers × chunk)` in-flight trial results
+    /// — so with a constant-size accumulator
     /// ([`ScalarStats`](crate::aggregate::ScalarStats),
     /// [`KeyHistogram`](crate::aggregate::KeyHistogram)) total memory
     /// is independent of the trial count. The bound covers the
     /// *number* of accumulators, not their size: a reducer whose
     /// accumulator grows per trial ([`CollectMetrics`]) still ends up
     /// `O(trials)`.
-    pub fn run_reduced<R: Reducer>(&self, reducer: &R) -> Value {
-        self.run_reduced_with(reducer, None)
-    }
-
-    /// [`Scenario::run_reduced`] with a progress callback, invoked
-    /// from worker threads as `(completed, total)` after each trial.
-    pub fn run_reduced_with<R: Reducer>(&self, reducer: &R, progress: Option<ProgressFn>) -> Value {
-        match self.run_reduced_ctrl(reducer, progress, &RunCtrl::new()) {
-            Ok(v) => v,
-            Err(FoldError::Cancelled) => unreachable!("default RunCtrl never cancels"),
-            // Preserve the historical panicking contract of the
-            // uncontrolled entry point.
-            Err(FoldError::ChunkPanicked { payload, .. }) => std::panic::panic_any(payload),
-        }
-    }
-
-    /// [`Scenario::run_reduced_with`] under an explicit [`RunCtrl`] —
-    /// the resilient form the [`crate::engine`] job layer calls.
-    /// Bit-identical bytes on success; additionally the trial chunks
-    /// are panic-isolated (one deterministic retry, then a structured
-    /// error) and `ctrl`'s [`CancelToken`](lru_channel::trials::CancelToken)
-    /// is honoured at every chunk boundary.
+    ///
+    /// `progress` is invoked from worker threads as
+    /// `(completed, total)` after each trial; it never influences the
+    /// result. The trial chunks are panic-isolated (one deterministic
+    /// retry, then a structured error) and `ctrl`'s
+    /// [`CancelToken`](lru_channel::trials::CancelToken) is honoured
+    /// at every chunk boundary.
+    ///
+    /// Under `Auto` and `Force`, scenarios with a
+    /// [`Scenario::lockstep_spec`] run their trials in lockstep
+    /// batches over the lane-major [`cache_sim::batch::BatchCache`];
+    /// ineligible scenarios — and every run under `Off` — take the
+    /// scalar per-trial path. The produced bytes are identical either
+    /// way (pinned by `tests/lockstep_equivalence.rs`); only the wall
+    /// clock differs. Run drivers treat `Force` like `Auto`; front
+    /// ends reject ineligible scenarios up front via
+    /// [`Scenario::lockstep_spec`].
     ///
     /// # Errors
     ///
     /// [`FoldError::Cancelled`] when the token fires before the sweep
     /// completes; [`FoldError::ChunkPanicked`] when a trial chunk
     /// panics twice (original run + deterministic retry).
-    pub fn run_reduced_ctrl<R: Reducer>(
-        &self,
-        reducer: &R,
-        progress: Option<ProgressFn>,
-        ctrl: &RunCtrl,
-    ) -> Result<Value, FoldError> {
-        self.run_reduced_ctrl_mode(reducer, progress, ctrl, LockstepMode::Auto)
-    }
-
-    /// [`Scenario::run_reduced_ctrl`] with an explicit
-    /// [`LockstepMode`]. Under `Auto` (what every other entry point
-    /// uses) and `Force`, scenarios with a [`Scenario::lockstep_spec`]
-    /// run their trials in lockstep batches over the lane-major
-    /// [`cache_sim::batch::BatchCache`]; ineligible scenarios — and
-    /// every run under `Off` — take the scalar per-trial path. The
-    /// produced bytes are identical either way (pinned by
-    /// `tests/lockstep_equivalence.rs`); only the wall clock differs.
-    /// Run drivers treat `Force` like `Auto`; front ends reject
-    /// ineligible scenarios up front via [`Scenario::lockstep_spec`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::run_reduced_ctrl`].
-    pub fn run_reduced_ctrl_mode<R: Reducer>(
+    pub fn run_reduced<R: Reducer>(
         &self,
         reducer: &R,
         progress: Option<ProgressFn>,
@@ -223,7 +203,6 @@ impl Scenario {
         let single = self.trials <= 1;
         let done = AtomicUsize::new(0);
         let acc = run_trials_fold_ctrl(
-            ctrl.workers(),
             n,
             ctrl,
             |i| {
@@ -269,7 +248,6 @@ impl Scenario {
             }
         };
         let acc = run_trials_lockstep(
-            ctrl.workers(),
             n,
             ctrl,
             |lo, hi| {
@@ -307,53 +285,26 @@ impl Scenario {
         Ok(reducer.finish(acc))
     }
 
-    /// [`Scenario::run`] under an explicit [`RunCtrl`]: the same
-    /// bytes as [`Scenario::run`] on success (including the
-    /// single-trial unwrapping), but cancellable and panic-isolated.
-    /// This is the per-cell entry point of the [`crate::engine`] job
-    /// layer, and what makes every grid cell's outcome safely
-    /// cacheable — a faulted-then-retried cell reproduces the
-    /// fault-free bytes exactly.
+    /// [`Scenario::run`] under an explicit [`RunCtrl`] and
+    /// [`LockstepMode`]: the same bytes as [`Scenario::run`] on
+    /// success (including the single-trial unwrapping), in every
+    /// mode, but cancellable and panic-isolated. This is the per-cell
+    /// entry point of the [`crate::engine`] job layer, and what makes
+    /// every grid cell's outcome safely cacheable — a
+    /// faulted-then-retried cell reproduces the fault-free bytes
+    /// exactly. `progress` is the per-trial hook a streaming server
+    /// reports through; it never influences the result.
     ///
     /// # Errors
     ///
-    /// See [`Scenario::run_reduced_ctrl`].
-    pub fn run_ctrl(&self, ctrl: &RunCtrl) -> Result<Value, FoldError> {
-        self.run_ctrl_with(None, ctrl)
-    }
-
-    /// [`Scenario::run_ctrl`] with a per-trial progress callback,
-    /// invoked from worker threads as `(completed, total)` after each
-    /// trial — the hook the job engine threads through so a streaming
-    /// server can report trial-level progress. The callback never
-    /// influences the result; the bytes stay identical to
-    /// [`Scenario::run`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::run_reduced_ctrl`].
-    pub fn run_ctrl_with(
-        &self,
-        progress: Option<ProgressFn>,
-        ctrl: &RunCtrl,
-    ) -> Result<Value, FoldError> {
-        self.run_ctrl_with_mode(progress, ctrl, LockstepMode::Auto)
-    }
-
-    /// [`Scenario::run_ctrl_with`] with an explicit [`LockstepMode`]
-    /// — the entry point the job engine uses so `lru-leak
-    /// --lockstep=…` reaches every cell. Same bytes for every mode.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::run_reduced_ctrl`].
-    pub fn run_ctrl_with_mode(
+    /// See [`Scenario::run_reduced`].
+    pub fn run_ctrl(
         &self,
         progress: Option<ProgressFn>,
         ctrl: &RunCtrl,
         mode: LockstepMode,
     ) -> Result<Value, FoldError> {
-        let v = self.run_reduced_ctrl_mode(&CollectMetrics, progress, ctrl, mode)?;
+        let v = self.run_reduced(&CollectMetrics, progress, ctrl, mode)?;
         if self.trials <= 1 {
             // Scenario::run returns the bare metrics tree for a
             // single trial; unwrap the one-element array the
@@ -365,15 +316,6 @@ impl Scenario {
             unreachable!("CollectMetrics finishes with an array");
         }
         Ok(v)
-    }
-
-    /// Streams the trials through the scenario's default
-    /// [`Aggregate::for_scenario`] summary — the constant-memory way
-    /// to run a million-trial sweep. (Noisy covert scenarios get the
-    /// channel-capacity aggregate; everything else keeps its kind's
-    /// default.)
-    pub fn run_summary(&self) -> Value {
-        Aggregate::for_scenario(self).reduce(self, None)
     }
 
     /// The [`BatchSpec`] this scenario would run in lockstep, or the

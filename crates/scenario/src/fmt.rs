@@ -1,15 +1,15 @@
 //! Table/figure text formatting shared by the registry renderers,
-//! the bench targets and the CLI.
+//! the perf smoke benches and the CLI.
 //!
 //! All writers append to a `String` buffer so a whole report can be
-//! built, compared and reprinted deterministically (the bench
-//! targets print it; the CLI returns it).
+//! built, compared and reprinted deterministically (the CLI returns
+//! it; the server sends it).
 
 use std::fmt::{Display, Write};
 
 use crate::json::Value;
 
-/// A fixed seed so `cargo bench` / CLI output is reproducible run to
+/// A fixed seed so `lru-leak run` output is reproducible run to
 /// run.
 pub const BENCH_SEED: u64 = 0x11ca_c4e5;
 

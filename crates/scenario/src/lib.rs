@@ -43,13 +43,13 @@
 //! * [`registry`] — paper artifact IDs (`fig3`…`fig15`,
 //!   `table1`…`table7`, ablations — including the `ablation_noise_*`
 //!   interference sweeps) resolved to scenario grids plus
-//!   renderers; bench targets and the `lru-leak` CLI both run
-//!   artifacts through [`registry::Artifact::run`].
+//!   renderers; the `lru-leak` CLI, the server and the benchmark
+//!   all run artifacts through [`engine::Engine::run_artifact`].
 //! * [`json`] — the dependency-free JSON tree both layers serialize
 //!   through (deterministic writer, so `--json` output is
 //!   bit-identical for a fixed seed).
 //! * [`fmt`] — the table/sparkline text helpers the renderers and
-//!   bench targets share.
+//!   perf smoke benches share.
 //!
 //! ## Quickstart
 //!
@@ -75,10 +75,15 @@
 //!
 //! ```no_run
 //! use scenario::registry::{self, RunOpts};
+//! use scenario::{CancelToken, Engine};
 //!
-//! let report = registry::get("fig6").unwrap().run(&RunOpts::default());
-//! print!("{}", report.text);           // the bench table
+//! let fig6 = registry::get("fig6").unwrap();
+//! let engine = Engine::new().with_workers(4); // 0 = the host's width
+//! let (report, _status) =
+//!     engine.run_artifact(fig6, &RunOpts::default(), None, &CancelToken::new())?;
+//! print!("{}", report.text);           // the table `lru-leak run fig6` prints
 //! println!("{}", report.metrics);      // the same numbers as JSON
+//! # Ok::<(), scenario::EngineError>(())
 //! ```
 
 #![forbid(unsafe_code)]

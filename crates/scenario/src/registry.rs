@@ -2,20 +2,20 @@
 //! the reproduction, keyed by a stable ID, resolved to a scenario
 //! grid plus a renderer.
 //!
-//! A bench target is now a two-liner — fetch the [`Artifact`], run
-//! it, print [`Report::text`] — and `lru-leak run <id> --json` emits
-//! the same numbers as [`Report::metrics`], because both come from
-//! the same grid run through the deterministic trial driver.
+//! Running an artifact is one call —
+//! [`Engine::run_artifact`](crate::Engine::run_artifact) — and
+//! `lru-leak run <id>` prints its [`Report::text`] while
+//! `lru-leak run <id> --json` emits the same numbers as
+//! [`Report::metrics`], because both come from the same grid run
+//! through the deterministic trial driver.
 
 use std::fmt::Write;
 
 use cache_sim::replacement::PolicyKind;
 use lru_channel::covert::{Sharing, Variant};
 use lru_channel::params::ChannelParams;
-use lru_channel::trials::{FoldError, RunCtrl};
 use workloads::spec_like::SUITE;
 
-use crate::aggregate::ProgressFn;
 use crate::fmt::{geomean, header, kbps, pct, pct1, row, sparkline, BENCH_SEED};
 use crate::json::Value;
 use crate::spec::{
@@ -23,7 +23,7 @@ use crate::spec::{
     PlatformId, Scenario, SequenceId, WorkloadId,
 };
 
-/// Knobs the CLI and the bench targets pass down to a grid.
+/// Knobs the CLI, the server and the benchmark pass down to a grid.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOpts {
     /// Overrides the artifact's natural trial/sample count per grid
@@ -54,7 +54,7 @@ impl RunOpts {
 pub struct Report {
     /// Artifact ID (`fig6`, `table4`, …).
     pub id: &'static str,
-    /// The human tables, exactly what the bench target prints.
+    /// The human tables, exactly what `lru-leak run` prints.
     pub text: String,
     /// The same numbers as a deterministic JSON tree.
     pub metrics: Value,
@@ -69,7 +69,9 @@ type RenderFn = fn(&RunOpts, &[Scenario], &[Value]) -> (String, Value);
 pub struct Artifact {
     /// Stable ID (`fig6`, `table4`, `ablation_multiset`, …).
     pub id: &'static str,
-    /// The bench target reproducing it (`fig6_timesliced`, …).
+    /// Its long name (`fig6_timesliced`, …): the title of the
+    /// report header, and the name of the bench target that once
+    /// printed it. [`get`] and `lru-leak run` still accept it.
     pub bench: &'static str,
     /// Paper cross-reference.
     pub paper_ref: &'static str,
@@ -85,71 +87,11 @@ impl Artifact {
         (self.grid)(opts)
     }
 
-    /// Runs the whole grid (fanned out over the host's cores through
-    /// the work-stealing trial scheduler) and renders the report.
-    pub fn run(&self, opts: &RunOpts) -> Report {
-        self.run_with(opts, None)
-    }
-
-    /// [`Artifact::run`] with a progress callback, invoked from
-    /// worker threads as `(completed, total)` after each grid cell.
-    pub fn run_with(&self, opts: &RunOpts, progress: Option<ProgressFn>) -> Report {
-        match self.run_ctrl(opts, progress, &RunCtrl::new()) {
-            Ok(report) => report,
-            Err(FoldError::Cancelled) => unreachable!("default RunCtrl never cancels"),
-            Err(FoldError::ChunkPanicked { payload, .. }) => std::panic::panic_any(payload),
-        }
-    }
-
-    /// [`Artifact::run_with`] under an external [`RunCtrl`]: the grid
-    /// runs through the panic-isolated, cancellable engine and a
-    /// failure comes back as a structured error instead of an abort.
-    /// (The richer entry point — caching, deadlines, job status — is
-    /// [`crate::engine::Engine::run_artifact`], which this shares its
-    /// execution path with.)
-    ///
-    /// # Errors
-    ///
-    /// [`FoldError::Cancelled`] when the control's token fires before
-    /// the grid completes; [`FoldError::ChunkPanicked`] when a grid
-    /// chunk panics on both its original run and its retry.
-    pub fn run_ctrl(
-        &self,
-        opts: &RunOpts,
-        progress: Option<ProgressFn>,
-        ctrl: &RunCtrl,
-    ) -> Result<Report, FoldError> {
-        let engine = crate::engine::Engine::new();
-        let job = crate::engine::Job::from_artifact(self, opts);
-        let (outcomes, _status) =
-            engine
-                .run_job_ctrl(&job, progress, ctrl)
-                .map_err(|e| match e {
-                    crate::engine::EngineError::Cancelled
-                    | crate::engine::EngineError::DeadlineExceeded { .. } => FoldError::Cancelled,
-                    crate::engine::EngineError::ChunkPanicked {
-                        chunk,
-                        trial_range,
-                        payload,
-                    } => FoldError::ChunkPanicked {
-                        chunk,
-                        trial_range,
-                        payload,
-                    },
-                    // Raised by front ends before execution, never by
-                    // the engine itself.
-                    crate::engine::EngineError::LockstepIneligible { .. } => {
-                        unreachable!("the engine treats Force like Auto")
-                    }
-                })?;
-        Ok(self.render_report(opts, &job.grid, &outcomes))
-    }
-
     /// The pre-refactor buffered reference: every grid cell runs
     /// sequentially through [`Scenario::run_buffered`], all outcomes
     /// are collected, then rendered. Kept as the oracle
-    /// `tests/streaming_equivalence.rs` pins [`Artifact::run`]
-    /// against.
+    /// `tests/streaming_equivalence.rs` pins
+    /// [`Engine::run_artifact`](crate::Engine::run_artifact) against.
     pub fn run_buffered(&self, opts: &RunOpts) -> Report {
         let grid = self.scenarios(opts);
         let outcomes: Vec<Value> = grid.iter().map(Scenario::run_buffered).collect();
@@ -157,9 +99,9 @@ impl Artifact {
     }
 
     /// Renders already-computed grid outcomes into this artifact's
-    /// [`Report`] — the pure presentation half of [`Artifact::run`],
-    /// split out so callers that execute the grid elsewhere (the job
-    /// engine, the experiment service) produce byte-identical
+    /// [`Report`] — the pure presentation half of a run, so every
+    /// caller that executes the grid (the job engine, the experiment
+    /// service, the buffered oracle) produces byte-identical
     /// reports. `grid` and `outcomes` must line up index-for-index.
     pub fn render_report(&self, opts: &RunOpts, grid: &[Scenario], outcomes: &[Value]) -> Report {
         let (body, summary) = (self.render)(opts, grid, outcomes);
@@ -191,7 +133,7 @@ impl Artifact {
     }
 }
 
-/// Looks an artifact up by ID or bench-target name.
+/// Looks an artifact up by ID or long name ([`Artifact::bench`]).
 pub fn get(id: &str) -> Option<&'static Artifact> {
     ARTIFACTS.iter().find(|a| a.id == id || a.bench == id)
 }
@@ -2109,12 +2051,18 @@ mod tests {
         assert_eq!(ids().len(), ARTIFACTS.len());
     }
 
+    fn run(a: &Artifact, opts: &RunOpts) -> Report {
+        let engine = crate::Engine::new();
+        let cancel = crate::CancelToken::new();
+        engine.run_artifact(a, opts, None, &cancel).unwrap().0
+    }
+
     #[test]
     fn small_fig5_report_is_deterministic() {
         let opts = RunOpts::default();
         let a = get("fig5").unwrap();
-        let r1 = a.run(&opts);
-        let r2 = a.run(&opts);
+        let r1 = run(a, &opts);
+        let r2 = run(a, &opts);
         assert_eq!(r1.text, r2.text);
         assert_eq!(r1.metrics.to_string(), r2.metrics.to_string());
         assert!(r1.text.contains("sent bits:"));
@@ -2122,7 +2070,7 @@ mod tests {
 
     #[test]
     fn table3_runs_fast_and_reports_specs() {
-        let r = get("table3").unwrap().run(&RunOpts::default());
+        let r = run(get("table3").unwrap(), &RunOpts::default());
         assert!(r.text.contains("E5-2690") || r.text.contains("2690"));
         assert!(r.metrics.get("summary").is_some());
     }

@@ -14,10 +14,10 @@
 //! declarative, serializable [`scenario::spec::Scenario`] value and
 //! executed through the [`scenario::experiment::Experiment`] trait.
 //! Paper artifacts are registered by ID in [`scenario::registry`]
-//! (`fig3`…`fig15`, `table1`…`table7`, ablations); the bench targets
-//! and the `lru-leak` CLI are both thin wrappers over that registry,
-//! so for a fixed seed `cargo bench --bench fig6_timesliced` and
-//! `lru-leak run fig6 --json` report the same numbers.
+//! (`fig3`…`fig15`, `table1`…`table7`, ablations); the `lru-leak`
+//! CLI is a thin wrapper over that registry, so for a fixed seed
+//! `lru-leak run fig6` prints the figure's table and
+//! `lru-leak run fig6 --json` the same numbers as JSON.
 //!
 //! ```
 //! use lru_leak::scenario::spec::{MessageSource, Scenario};

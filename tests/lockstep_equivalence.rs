@@ -81,7 +81,7 @@ fn multi_trial_covert_sweep_is_bit_identical_across_modes() {
         .unwrap();
     assert!(scenario.lockstep_spec().is_ok());
     let scalar = scenario
-        .run_reduced_ctrl_mode(
+        .run_reduced(
             &lru_leak::scenario::aggregate::CollectMetrics,
             None,
             &lru_leak::scenario::engine::RunCtrl::new(),
@@ -92,7 +92,7 @@ fn multi_trial_covert_sweep_is_bit_identical_across_modes() {
         let ctrl = lru_leak::scenario::engine::RunCtrl::new().with_workers(workers);
         for mode in [LockstepMode::Auto, LockstepMode::Force] {
             let batched = scenario
-                .run_reduced_ctrl_mode(
+                .run_reduced(
                     &lru_leak::scenario::aggregate::CollectMetrics,
                     None,
                     &ctrl,

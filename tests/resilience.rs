@@ -53,7 +53,9 @@ fn every_artifact_recovers_byte_identically_from_an_injected_panic() {
     let opts = opts();
     for id in registry::ids() {
         let artifact = registry::get(id).unwrap();
-        let reference = artifact.run(&opts);
+        let (reference, _) = Engine::new()
+            .run_artifact(artifact, &opts, None, &CancelToken::new())
+            .unwrap();
         // Cell 0 panics once; the chunk containing it is retried
         // deterministically and the report must not change a byte.
         let engine = Engine::new().with_fault_plan(FaultPlan::seeded(7).panic_at(&[0], 1));
@@ -321,6 +323,30 @@ fn engine_failure_through_the_cli_exits_1() {
 }
 
 #[test]
+fn adhoc_engine_failure_exits_1_instead_of_panicking() {
+    // adhoc runs its scenario as a one-cell engine job, so a cell
+    // that panics on its run and its retry is a runtime error.
+    let sc = lru_leak::scenario::Scenario::builder()
+        .trials(4)
+        .seed(3)
+        .build()
+        .unwrap();
+    let plan = FaultPlan::seeded(7).panic_at(&[0], u32::MAX);
+    let cmd = args(&["adhoc", &sc.to_json().to_string(), "--threads", "2"]);
+    let err = run_cli_faulted(&cmd, &quiet, plan).unwrap_err();
+    assert_eq!(err.code, 1);
+    assert!(
+        err.message.contains("panicked"),
+        "message should carry the cause: {}",
+        err.message
+    );
+    // One fault, retried once: the output matches a fault-free run.
+    let plan = FaultPlan::seeded(7).panic_at(&[0], 1);
+    let recovered = run_cli_faulted(&cmd, &quiet, plan).unwrap();
+    assert_eq!(recovered, run_cli(&cmd).unwrap());
+}
+
+#[test]
 fn partial_run_all_failure_exits_3_with_completed_output() {
     let opts = RunOpts {
         trials: Some(1),
@@ -450,7 +476,7 @@ fn lockstep_runs_honour_cancellation_at_batch_boundaries() {
     token.cancel();
     let ctrl = RunCtrl::with_cancel(token);
     let err = scenario
-        .run_reduced_ctrl_mode(&CollectMetrics, None, &ctrl, LockstepMode::Force)
+        .run_reduced(&CollectMetrics, None, &ctrl, LockstepMode::Force)
         .unwrap_err();
     assert!(matches!(err, FoldError::Cancelled), "got {err:?}");
 

@@ -5,11 +5,11 @@
 use lru_leak::lru_channel::params::ParamError;
 use lru_leak::scenario::registry::{self, RunOpts};
 use lru_leak::scenario::spec::{ExperimentKind, MessageSource, PlatformId, Scenario};
-use lru_leak::scenario::{ScenarioError, Value};
+use lru_leak::scenario::{CancelToken, Engine, ScenarioError, Value};
 
-/// Every paper-artifact bench target in `crates/bench/benches/`
-/// (`micro` and `bench_perf_smoke` measure the library itself, not a
-/// paper artifact, and are deliberately absent).
+/// The long name of every paper artifact: the names of the per-
+/// artifact bench targets the registry replaced, which `lru-leak run`
+/// keeps accepting.
 const BENCH_TARGETS: [&str; 26] = [
     "fig3_pointer_chase",
     "fig4_error_rates",
@@ -249,7 +249,14 @@ fn cli_json_is_bit_identical_across_runs() {
 
 #[test]
 fn cli_text_matches_the_registry_report() {
-    let report = registry::get("table3").unwrap().run(&RunOpts::default());
+    let (report, _status) = Engine::new()
+        .run_artifact(
+            registry::get("table3").unwrap(),
+            &RunOpts::default(),
+            None,
+            &CancelToken::new(),
+        )
+        .unwrap();
     let args: Vec<String> = ["run", "table3"].iter().map(|s| s.to_string()).collect();
     let cli = lru_leak_cli::run_cli(&args).unwrap();
     assert_eq!(cli, report.text, "CLI `run` must print the bench text");

@@ -8,34 +8,41 @@
 //! `Report { text, metrics }` byte for byte on 1, 4 and 8 workers,
 //! for every artifact in the registry.
 
-use std::sync::{Mutex, MutexGuard};
-
-use lru_leak::lru_channel::trials::set_worker_count;
 use lru_leak::scenario::aggregate::{KeyHistogram, ScalarStats};
-use lru_leak::scenario::registry::{self, RunOpts};
+use lru_leak::scenario::engine::{CancelToken, Engine, RunCtrl};
+use lru_leak::scenario::registry::{self, Artifact, Report, RunOpts};
 use lru_leak::scenario::spec::{ExperimentKind, InitId, MessageSource, Scenario, SequenceId};
+use lru_leak::scenario::{Aggregate, LockstepMode, Reducer, Value};
 
-/// The worker-count override is process-global; tests that flip it
-/// serialize on this lock and restore the default when done.
-static WORKERS: Mutex<()> = Mutex::new(());
-
-struct WorkerGuard<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
-
-impl WorkerGuard<'_> {
-    fn lock() -> WorkerGuard<'static> {
-        WorkerGuard(WORKERS.lock().unwrap_or_else(|e| e.into_inner()))
-    }
+/// Runs `artifact` through an engine of width `workers`.
+fn run_on(workers: usize, artifact: &Artifact, opts: &RunOpts) -> Report {
+    let engine = Engine::new().with_workers(workers);
+    let (report, _status) = engine
+        .run_artifact(artifact, opts, None, &CancelToken::new())
+        .unwrap_or_else(|e| panic!("{}: {e}", artifact.id));
+    report
 }
 
-impl Drop for WorkerGuard<'_> {
-    fn drop(&mut self) {
-        set_worker_count(0);
-    }
+fn on(workers: usize) -> RunCtrl {
+    RunCtrl::new().with_workers(workers)
+}
+
+/// Streams `sc`'s trials through `reducer` on `workers` threads.
+fn reduced_on<R: Reducer>(workers: usize, sc: &Scenario, reducer: &R) -> String {
+    sc.run_reduced(reducer, None, &on(workers), LockstepMode::Auto)
+        .unwrap()
+        .to_string()
+}
+
+/// `sc`'s default summary on `workers` threads.
+fn summary_on(workers: usize, sc: &Scenario) -> Value {
+    Aggregate::for_scenario(sc)
+        .reduce(sc, None, &on(workers))
+        .unwrap()
 }
 
 #[test]
 fn every_artifact_streams_bit_identical_to_the_buffered_path() {
-    let _guard = WorkerGuard::lock();
     let opts = RunOpts {
         trials: Some(1),
         seed: 0x5eed_cafe,
@@ -44,8 +51,7 @@ fn every_artifact_streams_bit_identical_to_the_buffered_path() {
         let artifact = registry::get(id).unwrap();
         let reference = artifact.run_buffered(&opts);
         for workers in [1usize, 4, 8] {
-            set_worker_count(workers);
-            let streamed = artifact.run(&opts);
+            let streamed = run_on(workers, artifact, &opts);
             assert_eq!(
                 streamed.text, reference.text,
                 "{id}: streamed text differs from the buffered oracle at {workers} workers"
@@ -77,13 +83,13 @@ fn plru_scenario(trials: usize) -> Scenario {
 
 #[test]
 fn scenario_run_matches_the_buffered_oracle_per_worker_count() {
-    let _guard = WorkerGuard::lock();
     let sc = plru_scenario(97); // not a multiple of any chunk size
     let reference = sc.run_buffered();
+    assert_eq!(sc.run().to_string(), reference.to_string());
     for workers in [1usize, 4, 8] {
-        set_worker_count(workers);
+        let collected = sc.run_ctrl(None, &on(workers), LockstepMode::Auto).unwrap();
         assert_eq!(
-            sc.run().to_string(),
+            collected.to_string(),
             reference.to_string(),
             "collected trials differ at {workers} workers"
         );
@@ -91,8 +97,25 @@ fn scenario_run_matches_the_buffered_oracle_per_worker_count() {
 }
 
 #[test]
+fn engines_of_different_widths_run_side_by_side_bit_identically() {
+    // The width is a per-run value: two engines in one process, run
+    // at the same time on different widths, cannot disturb each other.
+    let opts = RunOpts {
+        trials: Some(8),
+        seed: 0x5eed_cafe,
+    };
+    let artifact = registry::get("fig6").unwrap();
+    let (narrow, wide) = std::thread::scope(|s| {
+        let narrow = s.spawn(|| run_on(1, artifact, &opts));
+        let wide = s.spawn(|| run_on(4, artifact, &opts));
+        (narrow.join().unwrap(), wide.join().unwrap())
+    });
+    assert_eq!(narrow.text, wide.text);
+    assert_eq!(narrow.metrics.to_string(), wide.metrics.to_string());
+}
+
+#[test]
 fn streaming_reducers_are_worker_count_invariant() {
-    let _guard = WorkerGuard::lock();
     let sc = plru_scenario(500);
     // Non-associative floating-point state (sums) and associative
     // integer state (bins) must both reproduce exactly.
@@ -101,21 +124,18 @@ fn streaming_reducers_are_worker_count_invariant() {
         key: "steady_state",
         bins: 8,
     };
-    set_worker_count(1);
-    let stats_seq = sc.run_reduced(&stats).to_string();
-    let hist_seq = sc.run_reduced(&hist).to_string();
-    let summary_seq = sc.run_summary().to_string();
+    let stats_seq = reduced_on(1, &sc, &stats);
+    let hist_seq = reduced_on(1, &sc, &hist);
+    let summary_seq = summary_on(1, &sc).to_string();
     for workers in [4usize, 8] {
-        set_worker_count(workers);
-        assert_eq!(sc.run_reduced(&stats).to_string(), stats_seq);
-        assert_eq!(sc.run_reduced(&hist).to_string(), hist_seq);
-        assert_eq!(sc.run_summary().to_string(), summary_seq);
+        assert_eq!(reduced_on(workers, &sc, &stats), stats_seq);
+        assert_eq!(reduced_on(workers, &sc, &hist), hist_seq);
+        assert_eq!(summary_on(workers, &sc).to_string(), summary_seq);
     }
 }
 
 #[test]
 fn summary_aggregate_agrees_with_the_buffered_trials() {
-    let _guard = WorkerGuard::lock();
     let sc = plru_scenario(64);
     let buffered = sc.run_buffered();
     let trials = buffered.as_arr().expect("trials array");
@@ -125,23 +145,13 @@ fn summary_aggregate_agrees_with_the_buffered_trials() {
         .count() as u64;
     let max = trials
         .iter()
-        .filter_map(|t| {
-            t.get("steady_state")
-                .and_then(lru_leak::scenario::Value::as_f64)
-        })
+        .filter_map(|t| t.get("steady_state").and_then(Value::as_f64))
         .fold(f64::NEG_INFINITY, f64::max);
-    let summary = sc.run_summary();
+    let summary = summary_on(0, &sc);
     let stat = summary
         .get("keys")
         .and_then(|k| k.get("steady_state"))
         .expect("summary stat");
-    assert_eq!(
-        stat.get("count")
-            .and_then(lru_leak::scenario::Value::as_u64),
-        Some(count)
-    );
-    assert_eq!(
-        stat.get("max").and_then(lru_leak::scenario::Value::as_f64),
-        Some(max)
-    );
+    assert_eq!(stat.get("count").and_then(Value::as_u64), Some(count));
+    assert_eq!(stat.get("max").and_then(Value::as_f64), Some(max));
 }
