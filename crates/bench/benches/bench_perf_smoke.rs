@@ -5,9 +5,9 @@
 //! hierarchy driven by a random line-aligned address stream, for
 //! both storage layouts:
 //!
-//! * **AoS baseline** — the retained array-of-structs reference
-//!   cache ([`cache_sim::RefCache`]), wired into the same two-level
-//!   demand logic the hierarchy uses;
+//! * **AoS baseline** — the array-of-structs reference cache of the
+//!   dev-only oracle crate ([`oracle::RefCache`]), wired into the
+//!   same two-level demand logic the hierarchy uses;
 //! * **SoA hot path** — the flat [`cache_sim::Cache`] behind
 //!   [`cache_sim::CacheHierarchy`].
 //!
@@ -29,11 +29,11 @@ use cache_sim::cache::Cache;
 use cache_sim::counters::PerfCounters;
 use cache_sim::geometry::CacheGeometry;
 use cache_sim::hierarchy::{CacheHierarchy, Latencies};
-use cache_sim::reference::RefCache;
 use cache_sim::replacement::{Domain, PolicyKind};
 use lru_channel::covert::{percent_ones, GridPoint, Variant};
 use lru_channel::params::{ChannelParams, Platform};
 use lru_channel::trials::{derive_seed, run_trials_fold_ctrl, RunCtrl};
+use oracle::RefCache;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -257,7 +257,9 @@ fn main() {
     json.push_str(&format!("  \"reps_best_of\": {REPS},\n"));
     json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     json.push_str("  \"hierarchy\": \"L1 32KiB/8w + L2 256KiB/8w, random line-aligned streams (L1-resident and 4x-L2 tiers)\",\n");
-    json.push_str("  \"baseline\": \"seed AoS layout (cache_sim::reference::RefCache, division-based slicing)\",\n");
+    json.push_str(
+        "  \"baseline\": \"seed AoS layout (oracle::RefCache, division-based slicing)\",\n",
+    );
     json.push_str("  \"layouts\": {\n");
     for (i, (key, aos, soa, speedup)) in rows.iter().enumerate() {
         json.push_str(&format!(

@@ -10,7 +10,7 @@ use std::hint::black_box;
 use cache_sim::addr::PhysAddr;
 use cache_sim::cache::Cache;
 use cache_sim::geometry::CacheGeometry;
-use cache_sim::replacement::{Policy, PolicyKind, SetReplacement};
+use cache_sim::replacement::{Domain, PolicyKind, SetState, WayMask};
 use exec_sim::machine::Machine;
 use exec_sim::measure::LatencyProbe;
 use exec_sim::tsc::TscModel;
@@ -29,12 +29,12 @@ fn bench_policies(c: &mut Criterion) {
         PolicyKind::Random,
     ] {
         group.bench_function(format!("{kind}"), |b| {
-            let mut policy = Policy::new(kind, 8, 1);
+            let mut policy = SetState::new(kind, 8, 1);
             let mut i = 0usize;
             b.iter(|| {
-                policy.touch(i % 8);
+                policy.on_access(i % 8, Domain::PRIMARY);
                 i += 1;
-                black_box(policy.victim())
+                black_box(policy.victim_among(WayMask::all(8), Domain::PRIMARY))
             });
         });
     }

@@ -8,8 +8,9 @@
 //!
 //! * [`replacement`] — the five replacement policies discussed by the
 //!   paper (true LRU, Tree-PLRU, Bit-PLRU, FIFO, Random) plus a
-//!   DAWG-style partitioned Tree-PLRU, all behind the
-//!   [`replacement::SetReplacement`] trait.
+//!   DAWG-style partitioned Tree-PLRU ([`replacement::PolicyKind`]),
+//!   one packed implementation each; [`replacement::SetState`] runs
+//!   it on a single standalone set.
 //! * [`cache`] — a single-level set-associative [`cache::Cache`] with
 //!   per-access outcomes (hit/miss, filled way, evicted line). Its
 //!   storage is a flat structure-of-arrays hot path: one contiguous
@@ -17,14 +18,11 @@
 //! * [`batch`] — the same level replicated K times in lane-major
 //!   SoA form ([`batch::BatchCache`]) so lockstep trial drivers can
 //!   step a whole batch of independent trials per cache operation.
-//! * [`reference`](mod@reference) — the original array-of-structs layout
-//!   ([`reference::RefCache`]), retained as the equivalence oracle
-//!   and performance baseline for the flat layout.
 //! * [`plcache`] — Partition-Locked cache semantics (paper Fig. 10),
 //!   in both the *original* (LRU state still updated on locked lines —
 //!   vulnerable) and *fixed* (LRU state frozen for locked lines) forms.
 //! * [`backend`] — the [`backend::Backend`] trait putting every cache
-//!   model (flat SoA, AoS oracle, PL cache, two-level hierarchies)
+//!   model (flat SoA, PL cache, two-level hierarchies)
 //!   behind one lookup/touch/fill/evict surface, with a
 //!   `quantum_ff_safe` capability bit the execution engine consults;
 //!   the backend-conformance harness is generic over it.
@@ -82,9 +80,7 @@ pub mod line;
 pub mod plcache;
 pub mod prefetcher;
 pub mod profiles;
-pub mod reference;
 pub mod replacement;
-pub mod set;
 mod storage;
 pub mod stream;
 pub mod way_predictor;
@@ -98,6 +94,5 @@ pub use geometry::CacheGeometry;
 pub use hierarchy::{CacheHierarchy, DualCore, HierarchyOutcome, HitLevel, Inclusion, Latencies};
 pub use plcache::{PlCache, PlDesign, PlRequest};
 pub use profiles::MicroArch;
-pub use reference::RefCache;
-pub use replacement::{Domain, Policy, PolicyKind, SetReplacement, WayMask};
+pub use replacement::{Domain, PolicyKind, SetState, WayMask};
 pub use stream::{AccessStream, Interleave, StreamStats};

@@ -1,11 +1,7 @@
 //! Structure-of-arrays line storage shared by [`crate::cache::Cache`]
 //! and [`crate::plcache::PlCache`].
 //!
-//! The original (array-of-structs) layout kept each set as a
-//! heap-allocated `Vec<Option<LineMeta>>` plus a per-set policy with
-//! its own allocations, so one `access` chased three pointer levels
-//! and scanned 24-byte `Option`s for an 8-way tag compare. This
-//! layout gives every set one contiguous row in a single flat array:
+//! Every set is one contiguous row in a single flat array:
 //!
 //! ```text
 //! row(set) = [ tag(way 0) .. tag(way N-1) | valid mask | repl words ]
@@ -17,9 +13,6 @@
 //! compare itself is a branchless sweep of one 64-byte line. PL-lock
 //! and µtag-presence words live in cold side arrays that are skipped
 //! entirely (one flag test) until a lock or µtag is first used.
-//!
-//! The old layout survives as [`crate::reference`], which the
-//! `layout_equivalence` suite replays against this one.
 
 use crate::line::LineMeta;
 use crate::replacement::packed::ReplPolicy;
@@ -346,8 +339,8 @@ impl SoaStore {
     }
 
     /// Clears every line and resets replacement state (the Random
-    /// generators keep their streams, exactly like
-    /// [`crate::replacement::RandomRepl::reset`]).
+    /// generators keep their streams: they are part of the
+    /// simulation, not of the cache state).
     pub(crate) fn clear(&mut self) {
         self.words.fill(0);
         self.locked.fill(0);

@@ -8,7 +8,7 @@
 //! observable exactly like the ordinary LRU channel. DAWG gives each
 //! domain its own tree half, removing the shared bits.
 
-use cache_sim::replacement::{Domain, PartitionedTreePlru, SetReplacement, TreePlru, WayMask};
+use cache_sim::replacement::{Domain, PolicyKind, SetState, WayMask};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,22 +38,23 @@ pub fn shared_plru_leak(trials: usize, seed: u64) -> PartitionLeak {
     let mut rng = SmallRng::seed_from_u64(seed);
     let receiver_ways = WayMask::single(0).with(2).with(4).with(6);
     let sender_ways = [1usize, 3, 5, 7];
+    let power_on = SetState::new(PolicyKind::TreePlru, 8, 0);
     let mut flips = 0usize;
     for _ in 0..trials {
-        let mut tree = TreePlru::new(8);
+        let mut tree = power_on.clone();
         // Random prior history across all ways.
         for _ in 0..rng.gen_range(4..24) {
             let w = rng.gen_range(0..8);
-            tree.touch(w);
+            tree.on_access(w, Domain::PRIMARY);
         }
         let mut with_sender = tree.clone();
         // Receiver touches its ways in order (its init phase).
         for w in [0usize, 2, 4, 6] {
-            tree.touch(w);
-            with_sender.touch(w);
+            tree.on_access(w, Domain::PRIMARY);
+            with_sender.on_access(w, Domain::PRIMARY);
         }
         // Sender (its own way) touches once in one world only.
-        with_sender.touch(sender_ways[rng.gen_range(0..4usize)]);
+        with_sender.on_access(sender_ways[rng.gen_range(0..4usize)], Domain::PRIMARY);
         let v_quiet = tree.victim_among(receiver_ways, Domain::PRIMARY);
         let v_noisy = with_sender.victim_among(receiver_ways, Domain::PRIMARY);
         if v_quiet != v_noisy {
@@ -72,9 +73,10 @@ pub fn shared_plru_leak(trials: usize, seed: u64) -> PartitionLeak {
 pub fn dawg_partitioned_leak(trials: usize, seed: u64) -> PartitionLeak {
     let mut rng = SmallRng::seed_from_u64(seed);
     let all = WayMask::all(8);
+    let power_on = SetState::new(PolicyKind::PartitionedTreePlru, 8, 0);
     let mut flips = 0usize;
     for _ in 0..trials {
-        let mut state = PartitionedTreePlru::new(8);
+        let mut state = power_on.clone();
         for _ in 0..rng.gen_range(4..24) {
             let w = rng.gen_range(0..8);
             let domain = if w < 4 {

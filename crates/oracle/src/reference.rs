@@ -1,6 +1,6 @@
 //! Array-of-structs reference cache: the original storage layout,
-//! retained as the oracle for the flat [`crate::cache::Cache`] and
-//! as the performance baseline of the `bench_perf_smoke` benchmark.
+//! retained as the oracle for the flat [`cache_sim::Cache`] and as
+//! the performance baseline of the `bench_perf_smoke` benchmark.
 //!
 //! [`RefCache`] is byte-for-byte the pre-refactor implementation:
 //! each set is a heap-allocated [`CacheSet`] holding
@@ -10,13 +10,21 @@
 //! the SoA layout exactly; the `layout_equivalence` integration
 //! suite replays long random traces through both and asserts it.
 
-use crate::addr::PhysAddr;
-use crate::cache::{AccessOutcome, CacheStats};
-use crate::geometry::CacheGeometry;
-use crate::line::LineMeta;
-use crate::replacement::packed::set_seed;
-use crate::replacement::{Domain, Policy, PolicyKind, WayMask};
+use crate::replacement::Policy;
 use crate::set::CacheSet;
+use cache_sim::addr::PhysAddr;
+use cache_sim::backend::Backend;
+use cache_sim::cache::{AccessOutcome, CacheStats};
+use cache_sim::geometry::CacheGeometry;
+use cache_sim::line::LineMeta;
+use cache_sim::replacement::{Domain, PolicyKind, WayMask};
+
+/// Derives the per-set seed of the Random policy, the same function
+/// of `(seed, set)` as the flat layout's; the `layout_equivalence`
+/// suite pins the two victim streams together.
+fn set_seed(seed: u64, set: u64) -> u64 {
+    seed ^ set.wrapping_mul(0x9e37_79b9)
+}
 
 /// The original array-of-structs cache.
 #[derive(Debug, Clone)]
@@ -29,7 +37,7 @@ pub struct RefCache {
 
 impl RefCache {
     /// Creates an empty reference cache (same seed derivation as
-    /// [`crate::cache::Cache::new`], so randomized policies produce
+    /// [`cache_sim::Cache::new`], so randomized policies produce
     /// identical victim streams).
     pub fn new(geom: CacheGeometry, kind: PolicyKind, seed: u64) -> Self {
         let sets = (0..geom.num_sets())
@@ -90,7 +98,7 @@ impl RefCache {
     }
 
     /// Prefetch fill (no demand-access accounting), as in
-    /// [`crate::cache::Cache::prefetch_fill`].
+    /// [`cache_sim::Cache::prefetch_fill`].
     pub fn prefetch_fill(&mut self, pa: PhysAddr) -> Option<PhysAddr> {
         let (set_idx, tag) = self.locate(pa);
         let ways = self.geom.ways();
@@ -167,6 +175,52 @@ impl RefCache {
             ((pa.raw() / line) % sets) as usize,
             pa.raw() / (line * sets),
         )
+    }
+}
+
+impl Backend for RefCache {
+    fn label(&self) -> &'static str {
+        "aos-reference"
+    }
+
+    fn geometry(&self) -> CacheGeometry {
+        RefCache::geometry(self)
+    }
+
+    fn policy_kind(&self) -> PolicyKind {
+        RefCache::policy_kind(self)
+    }
+
+    fn access_in_domain(&mut self, pa: PhysAddr, domain: Domain) -> AccessOutcome {
+        RefCache::access_in_domain(self, pa, domain)
+    }
+
+    fn prefetch_fill(&mut self, pa: PhysAddr) -> Option<PhysAddr> {
+        RefCache::prefetch_fill(self, pa)
+    }
+
+    fn probe(&self, pa: PhysAddr) -> bool {
+        RefCache::probe(self, pa)
+    }
+
+    fn way_of(&self, pa: PhysAddr) -> Option<usize> {
+        RefCache::way_of(self, pa)
+    }
+
+    fn flush_line(&mut self, pa: PhysAddr) -> bool {
+        RefCache::flush_line(self, pa)
+    }
+
+    fn line(&self, set: usize, way: usize) -> Option<LineMeta> {
+        self.set(set).line(way).copied()
+    }
+
+    fn stats(&self) -> CacheStats {
+        RefCache::stats(self)
+    }
+
+    fn clear(&mut self) {
+        RefCache::clear(self)
     }
 }
 

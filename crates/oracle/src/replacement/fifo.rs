@@ -14,7 +14,7 @@ use super::{assert_valid_victim_request, Domain, SetReplacement, WayMask};
 /// line is brought into the cache on cache misses").
 ///
 /// ```
-/// use cache_sim::replacement::{Fifo, SetReplacement};
+/// use oracle::{Fifo, SetReplacement};
 /// let mut f = Fifo::new(4);
 /// for w in 0..4 {
 ///     f.fill(w);

@@ -21,9 +21,8 @@ use super::{assert_valid_victim_request, Domain, SetReplacement, TreePlru, WayMa
 /// ordinary Tree-PLRU.
 ///
 /// ```
-/// use cache_sim::replacement::{
-///     Domain, PartitionedTreePlru, SetReplacement, WayMask,
-/// };
+/// use cache_sim::replacement::{Domain, WayMask};
+/// use oracle::{PartitionedTreePlru, SetReplacement};
 /// let mut p = PartitionedTreePlru::new(8);
 /// // The attacker (secondary domain) hammers its own ways...
 /// for w in 4..8 {

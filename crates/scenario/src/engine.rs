@@ -718,8 +718,8 @@ impl Engine {
 
     /// [`Engine::run_job`] for a registry artifact, rendered into the
     /// artifact's [`Report`] — the one way to run a registry artifact.
-    /// The report bytes are identical to [`Artifact::run_buffered`]
-    /// whenever the job completes.
+    /// The report bytes are identical to the buffered oracle's
+    /// (`oracle::buffered::run_artifact`) whenever the job completes.
     ///
     /// # Errors
     ///

@@ -119,9 +119,9 @@ impl Scenario {
     ///
     /// The infallible convenience form of [`Scenario::run_ctrl`]:
     /// default width, lockstep `Auto`, no progress. The output is
-    /// byte-identical to the buffered oracle (pinned by
-    /// `tests/streaming_equivalence.rs`), but the trials flow through
-    /// the chunked work-stealing scheduler. For large `trials`,
+    /// byte-identical to the buffered oracle (`oracle::buffered`,
+    /// pinned by `tests/streaming_equivalence.rs`), but the trials
+    /// flow through the chunked work-stealing scheduler. For large `trials`,
     /// prefer [`Scenario::run_reduced`] with a constant-memory
     /// [`Reducer`] such as
     /// [`Aggregate::for_scenario`](crate::Aggregate::for_scenario)'s.
@@ -136,20 +136,6 @@ impl Scenario {
         }
         self.run_ctrl(None, &RunCtrl::new(), LockstepMode::Auto)
             .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The pre-refactor buffered reference: run every trial
-    /// sequentially, collect all metrics into a `Vec`, wrap.
-    /// `O(trials)` memory by construction — kept as the oracle the
-    /// streaming path is tested against, not for production sweeps.
-    pub fn run_buffered(&self) -> Value {
-        if self.trials <= 1 {
-            return self.run_once(self.seed).metrics;
-        }
-        let outs = (0..self.trials)
-            .map(|i| self.run_once(derive_seed(self.seed, i as u64)).metrics)
-            .collect();
-        Value::Arr(outs)
     }
 
     /// Streams the scenario's trials through `reducer` on `ctrl`'s

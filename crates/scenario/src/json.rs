@@ -115,6 +115,7 @@ impl Value {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -279,9 +280,17 @@ impl fmt::Display for Value {
     }
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one short
+/// hostile line (`[[[[…`) overflow the parsing thread's stack; every
+/// document this crate reads nests fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -328,8 +337,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting too deep at byte {} (limit {MAX_DEPTH} levels)",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -537,6 +560,30 @@ mod tests {
         assert!(Value::parse("{").is_err());
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("'single'").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_depth_limit() {
+        let nest = |n: usize, open: &str, close: &str| open.repeat(n) + &close.repeat(n);
+        assert!(Value::parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        let err = Value::parse(&nest(MAX_DEPTH + 1, "[", "]")).unwrap_err();
+        assert!(err.starts_with("nesting too deep"), "{err}");
+        let objects = nest(MAX_DEPTH + 1, "{\"k\":", "}").replacen('}', "1}", 1);
+        let err = Value::parse(&objects).unwrap_err();
+        assert!(err.starts_with("nesting too deep"), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A spawned thread has the default 2 MiB stack, like the
+        // server's connection threads; unbounded recursion over this
+        // input used to abort the whole process.
+        let deep = "[".repeat(100_000);
+        let res = std::thread::spawn(move || Value::parse(&deep))
+            .join()
+            .expect("parser thread must not die");
+        let err = res.unwrap_err();
+        assert!(err.starts_with("nesting too deep"), "{err}");
     }
 
     #[test]

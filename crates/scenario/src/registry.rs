@@ -87,17 +87,6 @@ impl Artifact {
         (self.grid)(opts)
     }
 
-    /// The pre-refactor buffered reference: every grid cell runs
-    /// sequentially through [`Scenario::run_buffered`], all outcomes
-    /// are collected, then rendered. Kept as the oracle
-    /// `tests/streaming_equivalence.rs` pins
-    /// [`Engine::run_artifact`](crate::Engine::run_artifact) against.
-    pub fn run_buffered(&self, opts: &RunOpts) -> Report {
-        let grid = self.scenarios(opts);
-        let outcomes: Vec<Value> = grid.iter().map(Scenario::run_buffered).collect();
-        self.render_report(opts, &grid, &outcomes)
-    }
-
     /// Renders already-computed grid outcomes into this artifact's
     /// [`Report`] — the pure presentation half of a run, so every
     /// caller that executes the grid (the job engine, the experiment

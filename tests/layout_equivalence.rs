@@ -1,6 +1,6 @@
 //! Backend-conformance harness: every cache model behind the
-//! [`Backend`] trait — the flat SoA [`Cache`], the AoS oracle
-//! [`RefCache`], both [`PlCache`] designs, and the three two-level
+//! [`Backend`] trait — the flat SoA [`Cache`], the dev-only AoS
+//! oracle [`RefCache`], both [`PlCache`] designs, and the three two-level
 //! [`HierarchyBackend`] inclusion models — is run through one generic
 //! suite as a policy × backend matrix:
 //!
@@ -30,8 +30,8 @@ use lru_leak::cache_sim::geometry::CacheGeometry;
 use lru_leak::cache_sim::hierarchy::Inclusion;
 use lru_leak::cache_sim::line::LineMeta;
 use lru_leak::cache_sim::plcache::{PlCache, PlDesign};
-use lru_leak::cache_sim::reference::RefCache;
 use lru_leak::cache_sim::replacement::{Domain, PolicyKind};
+use oracle::RefCache;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -75,9 +75,9 @@ fn every_registry_artifact_is_engine_invariant() {
     };
     for id in registry::ids() {
         let artifact = registry::get(id).unwrap();
-        // run_buffered: sequential, so the comparison is pure engine
-        // behaviour, independent of the worker pool.
-        let (fast, refr) = under_both_engines(|| artifact.run_buffered(&opts));
+        // The buffered oracle is sequential, so the comparison is pure
+        // engine behaviour, independent of the worker pool.
+        let (fast, refr) = under_both_engines(|| oracle::buffered::run_artifact(artifact, &opts));
         assert_eq!(
             fast.text, refr.text,
             "{id}: fast-forward text differs from the reference interpreter"

@@ -334,3 +334,41 @@ fn shutdown_drains_queued_jobs_before_returning() {
     assert_eq!(summary.completed, 2);
     assert_eq!(summary.failed, 0);
 }
+
+#[test]
+fn a_deeply_nested_request_line_is_a_bad_request_not_a_crash() {
+    let (addr, handle, join) = spawn_server(ServerConfig::default());
+
+    // One ~100 KB line nesting far past the parser's depth limit. The
+    // connection thread parses it on a default-size stack; unbounded
+    // recursion used to abort the whole server process here.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let deep = format!("{{\"cmd\":{}\n", "[".repeat(100_000));
+    stream.write_all(deep.as_bytes()).expect("send deep line");
+    let mut lines = BufReader::new(stream.try_clone().expect("clone"));
+    let mut line = String::new();
+    lines.read_line(&mut line).expect("recv error event");
+    let event = Value::parse(line.trim()).expect("error event parses");
+    assert_eq!(event.get("event").and_then(Value::as_str), Some("error"));
+    assert_eq!(
+        event.get("status").and_then(Value::as_str),
+        Some("bad_request")
+    );
+    let message = event.get("message").and_then(Value::as_str).unwrap_or("");
+    assert!(message.contains("nesting too deep"), "{message}");
+
+    // The same connection still serves the next request.
+    stream
+        .write_all(b"{\"cmd\":\"status\"}\n")
+        .expect("send status");
+    line.clear();
+    lines.read_line(&mut line).expect("recv status");
+    let status = Value::parse(line.trim()).expect("status parses");
+    assert_eq!(status.get("requests").and_then(Value::as_u64), Some(1));
+    assert_eq!(status.get("failed").and_then(Value::as_u64), Some(1));
+    drop(lines);
+    drop(stream);
+
+    handle.begin_shutdown();
+    join.join().unwrap().expect("server run");
+}

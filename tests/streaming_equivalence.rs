@@ -1,7 +1,7 @@
 //! The streaming refactor's contract: stream-and-reduce must be
 //! byte-identical to the pre-refactor buffer-then-fold path.
 //!
-//! `Artifact::run_buffered` / `Scenario::run_buffered` keep the old
+//! `oracle::buffered::{run_artifact, run_scenario}` keep the old
 //! semantics — run every trial sequentially, collect a `Vec`, then
 //! render — as the oracle. The streamed path (chunked work-stealing
 //! scheduler, in-order chunk merging) must reproduce the oracle's
@@ -13,6 +13,7 @@ use lru_leak::scenario::engine::{CancelToken, Engine, RunCtrl};
 use lru_leak::scenario::registry::{self, Artifact, Report, RunOpts};
 use lru_leak::scenario::spec::{ExperimentKind, InitId, MessageSource, Scenario, SequenceId};
 use lru_leak::scenario::{Aggregate, LockstepMode, Reducer, Value};
+use oracle::buffered;
 
 /// Runs `artifact` through an engine of width `workers`.
 fn run_on(workers: usize, artifact: &Artifact, opts: &RunOpts) -> Report {
@@ -49,7 +50,7 @@ fn every_artifact_streams_bit_identical_to_the_buffered_path() {
     };
     for id in registry::ids() {
         let artifact = registry::get(id).unwrap();
-        let reference = artifact.run_buffered(&opts);
+        let reference = buffered::run_artifact(artifact, &opts);
         for workers in [1usize, 4, 8] {
             let streamed = run_on(workers, artifact, &opts);
             assert_eq!(
@@ -84,7 +85,7 @@ fn plru_scenario(trials: usize) -> Scenario {
 #[test]
 fn scenario_run_matches_the_buffered_oracle_per_worker_count() {
     let sc = plru_scenario(97); // not a multiple of any chunk size
-    let reference = sc.run_buffered();
+    let reference = buffered::run_scenario(&sc);
     assert_eq!(sc.run().to_string(), reference.to_string());
     for workers in [1usize, 4, 8] {
         let collected = sc.run_ctrl(None, &on(workers), LockstepMode::Auto).unwrap();
@@ -137,8 +138,8 @@ fn streaming_reducers_are_worker_count_invariant() {
 #[test]
 fn summary_aggregate_agrees_with_the_buffered_trials() {
     let sc = plru_scenario(64);
-    let buffered = sc.run_buffered();
-    let trials = buffered.as_arr().expect("trials array");
+    let collected = buffered::run_scenario(&sc);
+    let trials = collected.as_arr().expect("trials array");
     let count = trials
         .iter()
         .filter(|t| t.get("steady_state").is_some())

@@ -3,7 +3,7 @@
 
 use lru_leak::cache_sim::hierarchy::HitLevel;
 use lru_leak::cache_sim::profiles::MicroArch;
-use lru_leak::cache_sim::replacement::{PolicyKind, SetReplacement};
+use lru_leak::cache_sim::replacement::{Domain, PolicyKind, WayMask};
 use lru_leak::exec_sim::machine::Machine;
 use lru_leak::exec_sim::measure::{rdtscp_single, LatencyProbe};
 use lru_leak::exec_sim::tsc::TscModel;
@@ -132,19 +132,16 @@ fn all_policies_drive_a_full_hierarchy() {
 
 #[test]
 fn replacement_trait_objects_are_usable() {
-    // The SetReplacement trait stays object-safe (C-OBJECT).
-    let mut policies: Vec<Box<dyn SetReplacement>> = vec![
-        Box::new(lru_leak::cache_sim::replacement::Lru::new(8)),
-        Box::new(lru_leak::cache_sim::replacement::TreePlru::new(8)),
-        Box::new(lru_leak::cache_sim::replacement::BitPlru::new(8)),
-        Box::new(lru_leak::cache_sim::replacement::Fifo::new(8)),
+    // The oracle's SetReplacement trait stays object-safe (C-OBJECT).
+    let mut policies: Vec<Box<dyn oracle::SetReplacement>> = vec![
+        Box::new(oracle::Lru::new(8)),
+        Box::new(oracle::TreePlru::new(8)),
+        Box::new(oracle::BitPlru::new(8)),
+        Box::new(oracle::Fifo::new(8)),
     ];
     for p in &mut policies {
-        p.on_access(3, lru_leak::cache_sim::replacement::Domain::PRIMARY);
-        let v = p.victim_among(
-            lru_leak::cache_sim::replacement::WayMask::all(8),
-            lru_leak::cache_sim::replacement::Domain::PRIMARY,
-        );
+        p.on_access(3, Domain::PRIMARY);
+        let v = p.victim_among(WayMask::all(8), Domain::PRIMARY);
         assert!(v < 8);
     }
 }
