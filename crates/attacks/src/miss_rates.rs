@@ -11,8 +11,8 @@ use cache_sim::counters::{MissRates, PerfCounters};
 use cache_sim::replacement::PolicyKind;
 use exec_sim::machine::Machine;
 use exec_sim::measure::LatencyProbe;
+use exec_sim::program::Program;
 use exec_sim::sched::{HyperThreaded, ThreadHandle};
-use exec_sim::speculation::build_victim;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use workloads::background::BenignCoRunner;
@@ -22,8 +22,7 @@ use lru_channel::protocol::{LruReceiver, LruSender};
 use lru_channel::setup;
 
 use crate::flush_reload::{EvictionMethod, FlushReloadReceiver};
-use crate::primitive::{FlushReloadPrimitive, LruAlg1Primitive, LruAlg2Primitive};
-use crate::spectre::{encode_symbols, SpectreAttack};
+use crate::spectre::{SpectreAttack, SpectreChannel};
 
 /// One row of Table VI or VII.
 #[derive(Debug, Clone)]
@@ -106,58 +105,43 @@ pub fn sender_miss_rates(
     machine.reset_counters();
     let limit = (bits as u64 + 1) * params.ts;
 
-    // Build the co-runner and run. Each arm keeps its program alive
-    // on the stack for the scheduler borrow.
-    match scenario {
+    // The co-runner on the other hyper-thread, if any.
+    let mut co_runner: Option<Box<dyn Program>> = match scenario {
         SenderScenario::FlushReloadMem | SenderScenario::FlushReloadL1 => {
             let eviction = if scenario == SenderScenario::FlushReloadMem {
                 EvictionMethod::Clflush
             } else {
                 EvictionMethod::L1EvictionSet(endpoints.receiver_lines[1..9].to_vec())
             };
-            let mut recv =
-                FlushReloadReceiver::new(endpoints.receiver_lines[0], eviction, params.tr);
+            Some(Box::new(FlushReloadReceiver::new(
+                endpoints.receiver_lines[0],
+                eviction,
+                params.tr,
+            )))
+        }
+        SenderScenario::LruAlg1 | SenderScenario::LruAlg2 => Some(Box::new(LruReceiver::new(
+            endpoints.receiver_lines.clone(),
+            params.d,
+            params.tr,
+        ))),
+        SenderScenario::SenderAndGcc => Some(Box::new(BenignCoRunner::gcc(
+            &mut machine,
+            receiver_pid,
+            seed ^ 0x6cc,
+        ))),
+        SenderScenario::SenderOnly => None,
+    };
+    let mut threads = vec![ThreadHandle::new(sender_pid, &mut sender)];
+    if let Some(prog) = co_runner.as_mut() {
+        threads.push(if scenario == SenderScenario::SenderAndGcc {
+            ThreadHandle::new(receiver_pid, &mut **prog)
+        } else {
+            // The receivers time their loads through a pointer chase.
             let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
-            HyperThreaded::new(seed).run(
-                &mut machine,
-                &mut [
-                    ThreadHandle::new(sender_pid, &mut sender),
-                    ThreadHandle::with_probe(receiver_pid, &mut recv, probe),
-                ],
-                limit,
-            );
-        }
-        SenderScenario::LruAlg1 | SenderScenario::LruAlg2 => {
-            let mut recv = LruReceiver::new(endpoints.receiver_lines.clone(), params.d, params.tr);
-            let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
-            HyperThreaded::new(seed).run(
-                &mut machine,
-                &mut [
-                    ThreadHandle::new(sender_pid, &mut sender),
-                    ThreadHandle::with_probe(receiver_pid, &mut recv, probe),
-                ],
-                limit,
-            );
-        }
-        SenderScenario::SenderAndGcc => {
-            let mut gcc = BenignCoRunner::gcc(&mut machine, receiver_pid, seed ^ 0x6cc);
-            HyperThreaded::new(seed).run(
-                &mut machine,
-                &mut [
-                    ThreadHandle::new(sender_pid, &mut sender),
-                    ThreadHandle::new(receiver_pid, &mut gcc),
-                ],
-                limit,
-            );
-        }
-        SenderScenario::SenderOnly => {
-            HyperThreaded::new(seed).run(
-                &mut machine,
-                &mut [ThreadHandle::new(sender_pid, &mut sender)],
-                limit,
-            );
-        }
+            ThreadHandle::with_probe(receiver_pid, &mut **prog, probe)
+        });
     }
+    HyperThreaded::new(seed).run(&mut machine, &mut threads, limit);
 
     let counters = *machine.counters(sender_pid);
     MissRateRow {
@@ -175,29 +159,9 @@ pub fn table6(platform: Platform, bits: usize, seed: u64) -> Vec<MissRateRow> {
         .collect()
 }
 
-/// The Spectre channels compared by Table VII.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpectreChannel {
-    /// Flush+Reload disclosure.
-    FlushReloadMem,
-    /// LRU Algorithm 1 disclosure.
-    LruAlg1,
-    /// LRU Algorithm 2 disclosure.
-    LruAlg2,
-}
-
-impl SpectreChannel {
-    /// All rows of Table VII.
-    pub const ALL: [SpectreChannel; 3] = [
-        SpectreChannel::FlushReloadMem,
-        SpectreChannel::LruAlg1,
-        SpectreChannel::LruAlg2,
-    ];
-}
-
 /// Measures the combined (victim + attacker) miss rates during a
 /// Spectre-v1 run recovering `secret` via the given channel
-/// (Table VII).
+/// (Table VII). One untimed warm-up symbol precedes the measured run.
 pub fn spectre_miss_rates(
     platform: Platform,
     channel: SpectreChannel,
@@ -205,44 +169,14 @@ pub fn spectre_miss_rates(
     seed: u64,
 ) -> MissRateRow {
     let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, seed);
-    let symbols = encode_symbols(secret);
-    let (mut victim, off) = build_victim(&mut machine, &symbols, 8);
-    let pid = victim.pid;
     let attack = SpectreAttack {
         seed,
         ..SpectreAttack::default()
     };
-
-    // Warm-up: recover the first symbol once untimed so compulsory
-    // misses of the attack's own data structures don't dominate the
-    // rates, then measure the full run.
-    let label = match channel {
-        SpectreChannel::FlushReloadMem => {
-            let mut prim = FlushReloadPrimitive::new(pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut prim, off, 1);
-            machine.reset_counters();
-            attack.recover(&mut machine, &mut victim, &mut prim, off, symbols.len());
-            "F+R (mem)"
-        }
-        SpectreChannel::LruAlg1 => {
-            let mut prim = LruAlg1Primitive::new(&mut machine, pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut prim, off, 1);
-            machine.reset_counters();
-            attack.recover(&mut machine, &mut victim, &mut prim, off, symbols.len());
-            "L1 LRU Alg.1"
-        }
-        SpectreChannel::LruAlg2 => {
-            let mut prim = LruAlg2Primitive::new(&mut machine, pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut prim, off, 1);
-            machine.reset_counters();
-            attack.recover(&mut machine, &mut victim, &mut prim, off, symbols.len());
-            "L1 LRU Alg.2"
-        }
-    };
-
-    let counters = *machine.counters(pid);
+    let recovery = attack.recover_secret(&mut machine, platform, channel, secret, true);
+    let counters = *machine.counters(recovery.victim_pid);
     MissRateRow {
-        label,
+        label: channel.label(),
         rates: counters.miss_rates(),
         counters,
     }
@@ -327,7 +261,7 @@ mod tests {
 
     #[test]
     fn spectre_fr_mem_has_huge_llc_miss_rate() {
-        let fr = spectre_miss_rates(Platform::e5_2690(), SpectreChannel::FlushReloadMem, "ab", 5);
+        let fr = spectre_miss_rates(Platform::e5_2690(), SpectreChannel::FlushReload, "ab", 5);
         let lru = spectre_miss_rates(Platform::e5_2690(), SpectreChannel::LruAlg1, "ab", 5);
         // Table VII shape: F+R(mem) ~90%+ LLC misses; the LRU
         // channels stay low.

@@ -7,10 +7,13 @@ use std::collections::HashMap;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use exec_sim::machine::Machine;
-use exec_sim::speculation::{SpecMode, SpectreVictim};
+use exec_sim::machine::{Machine, Pid};
+use exec_sim::speculation::{build_victim, SpecMode, SpectreVictim};
+use lru_channel::params::Platform;
 
-use crate::primitive::{DisclosurePrimitive, SYMBOL_VALUES};
+use crate::primitive::{
+    DisclosurePrimitive, FlushReloadPrimitive, LruAlg1Primitive, LruAlg2Primitive, SYMBOL_VALUES,
+};
 
 /// The 63-symbol alphabet used by the demos (the paper's setup
 /// supports 63 distinct values — 63 usable cache sets).
@@ -43,6 +46,46 @@ pub fn decode_symbols(symbols: &[u8]) -> String {
         .collect()
 }
 
+/// The disclosure channels a Spectre run reads the secret through
+/// (§VIII, Table VII, the §IX-B invisible-speculation ablation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpectreChannel {
+    /// Flush+Reload, `clflush` to memory.
+    FlushReload,
+    /// LRU Algorithm 1.
+    LruAlg1,
+    /// LRU Algorithm 2.
+    LruAlg2,
+}
+
+impl SpectreChannel {
+    /// Every channel, in Table VII order.
+    pub const ALL: [SpectreChannel; 3] = [
+        SpectreChannel::FlushReload,
+        SpectreChannel::LruAlg1,
+        SpectreChannel::LruAlg2,
+    ];
+
+    /// Row label of the channel in the paper's tables.
+    pub fn label(self) -> &'static str {
+        match self {
+            SpectreChannel::FlushReload => "F+R (mem)",
+            SpectreChannel::LruAlg1 => "L1 LRU Alg.1",
+            SpectreChannel::LruAlg2 => "L1 LRU Alg.2",
+        }
+    }
+}
+
+/// What [`SpectreAttack::recover_secret`] produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Recovery {
+    /// The victim process; its counters cover the whole attack.
+    pub victim_pid: Pid,
+    /// One recovered symbol per secret character (255 where no round
+    /// produced a candidate); [`decode_symbols`] turns them into text.
+    pub symbols: Vec<u8>,
+}
+
 /// Configuration of one Spectre run.
 #[derive(Debug, Clone, Copy)]
 pub struct SpectreAttack {
@@ -70,6 +113,53 @@ impl Default for SpectreAttack {
 }
 
 impl SpectreAttack {
+    /// Plants `secret` in a fresh Spectre-v1 victim on `machine`,
+    /// builds `channel`'s disclosure primitive over the victim's probe
+    /// array, and recovers the secret through it.
+    ///
+    /// With `warm_up`, the first symbol is recovered once and the
+    /// machine's counters are reset before the full run, so the
+    /// compulsory misses of the attack's own data structures do not
+    /// dominate the counters (Table VII).
+    pub fn recover_secret(
+        &self,
+        machine: &mut Machine,
+        platform: Platform,
+        channel: SpectreChannel,
+        secret: &str,
+        warm_up: bool,
+    ) -> Recovery {
+        let secret = encode_symbols(secret);
+        let (mut victim, off) = build_victim(machine, &secret, 8);
+        let mut primitive: Box<dyn DisclosurePrimitive> = match channel {
+            SpectreChannel::FlushReload => Box::new(FlushReloadPrimitive::new(
+                victim.pid,
+                victim.array2,
+                platform,
+            )),
+            SpectreChannel::LruAlg1 => Box::new(LruAlg1Primitive::new(
+                machine,
+                victim.pid,
+                victim.array2,
+                platform,
+            )),
+            SpectreChannel::LruAlg2 => Box::new(LruAlg2Primitive::new(
+                machine,
+                victim.pid,
+                victim.array2,
+                platform,
+            )),
+        };
+        if warm_up {
+            self.recover(machine, &mut victim, &mut *primitive, off, 1);
+            machine.reset_counters();
+        }
+        Recovery {
+            victim_pid: victim.pid,
+            symbols: self.recover(machine, &mut victim, &mut *primitive, off, secret.len()),
+        }
+    }
+
     /// Recovers `len` secret symbols starting at `secret_offset`
     /// from `victim.array1`, using `primitive` as the disclosure
     /// channel. Returns one recovered symbol per position (255 when

@@ -24,8 +24,10 @@
 use std::time::Instant;
 
 use bench_harness::{header, BENCH_SEED};
+use cache_sim::replacement::PolicyKind;
+use exec_sim::machine::Machine;
 use exec_sim::sched::{self, Engine};
-use lru_channel::covert::{percent_ones, percent_ones_noisy, Variant};
+use lru_channel::covert::{percent_ones, GridPoint, Variant};
 use lru_channel::noise::NoiseModel;
 use lru_channel::params::{ChannelParams, Platform};
 use scenario::registry::{self, RunOpts};
@@ -84,14 +86,20 @@ fn main() {
     let mut ts_fast = 0.0;
     let mut ts_ref = 0.0;
     for bit in [false, true] {
+        let point = GridPoint {
+            params,
+            bit,
+            seed: BENCH_SEED,
+        };
         let (f, r, frac) = race(|| {
+            let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, BENCH_SEED);
             percent_ones(
+                &mut machine,
                 platform,
-                params,
                 Variant::SharedMemory,
-                bit,
+                point,
                 SAMPLES,
-                BENCH_SEED,
+                |_| None,
             )
             .unwrap()
         });
@@ -118,15 +126,20 @@ fn main() {
         lines: 16,
         gap_cycles: 60_000,
     };
+    let point = GridPoint {
+        params,
+        bit: true,
+        seed: BENCH_SEED,
+    };
     let (ff_fast, ff_ref, frac) = race(|| {
-        percent_ones_noisy(
+        let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, BENCH_SEED);
+        percent_ones(
+            &mut machine,
             platform,
-            params,
             Variant::SharedMemory,
-            true,
+            point,
             SAMPLES,
-            noise,
-            BENCH_SEED,
+            |m| noise.spawn(m, params.tr.max(1), BENCH_SEED),
         )
         .unwrap()
     });

@@ -30,6 +30,7 @@ use cache_sim::counters::PerfCounters;
 use cache_sim::geometry::CacheGeometry;
 use cache_sim::hierarchy::{CacheHierarchy, Latencies};
 use cache_sim::replacement::{Domain, PolicyKind};
+use exec_sim::machine::Machine;
 use lru_channel::covert::{percent_ones, GridPoint, Variant};
 use lru_channel::params::{ChannelParams, Platform};
 use lru_channel::trials::{derive_seed, run_trials_fold_ctrl, RunCtrl};
@@ -171,13 +172,14 @@ fn run_grid_on(workers: usize, points: &[GridPoint]) -> (f64, Vec<f64>) {
         &RunCtrl::new().with_workers(workers),
         |i| {
             let p = points[i];
+            let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, p.seed);
             percent_ones(
+                &mut machine,
                 platform,
-                p.params,
                 Variant::SharedMemory,
-                p.bit,
+                p,
                 GRID_SAMPLES,
-                p.seed,
+                |_| None,
             )
             .expect("valid parameters")
         },

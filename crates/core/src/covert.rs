@@ -1,12 +1,12 @@
 //! End-to-end covert-channel runs (paper §V, §VI).
 
-use cache_sim::hierarchy::Inclusion;
 use cache_sim::replacement::PolicyKind;
 use exec_sim::machine::{Machine, Pid};
 use exec_sim::measure::LatencyProbe;
 use exec_sim::program::Program;
 use exec_sim::sched::{HyperThreaded, SchedulerReport, ThreadHandle, TimeSliced};
 
+use crate::decode::{self, BitConvention};
 use crate::noise::NoiseModel;
 use crate::params::{ChannelParams, ParamError, Platform};
 use crate::protocol::{LruReceiver, LruSender, Sample};
@@ -69,7 +69,8 @@ pub struct CovertRun {
 }
 
 impl CovertConfig {
-    /// Runs the channel and returns the receiver's trace.
+    /// Runs the channel on a fresh Tree-PLRU machine with no third
+    /// party and returns the receiver's trace.
     ///
     /// # Errors
     ///
@@ -77,53 +78,65 @@ impl CovertConfig {
     /// platform's L1 geometry.
     pub fn run(&self) -> Result<CovertRun, ParamError> {
         let mut machine = Machine::new(self.platform.arch, PolicyKind::TreePlru, self.seed);
-        self.run_on(&mut machine)
+        self.run_on(&mut machine, NoiseModel::None)
     }
 
-    /// Like [`CovertConfig::run`] but on a caller-supplied machine
-    /// (used by the secure-cache ablations to swap the L1 policy).
+    /// Runs the channel on a caller-supplied machine (the secure-cache
+    /// ablations swap its L1 policy, the scenario layer its inclusion
+    /// model), with `noise` spawned as a third thread next to the
+    /// sender and receiver. `NoiseModel::None` spawns nothing and
+    /// allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`ParamError`] if the parameters do not fit the
     /// machine's L1 geometry.
-    pub fn run_on(&self, machine: &mut Machine) -> Result<CovertRun, ParamError> {
-        self.run_on_with_noise(machine, NoiseModel::None)
-    }
-
-    /// [`CovertConfig::run_on`] with an environmental [`NoiseModel`]
-    /// injected as a third thread next to the sender and receiver.
-    /// `NoiseModel::None` takes exactly the two-thread path, so
-    /// noise-free runs stay byte-identical to the pre-noise code.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamError`] if the parameters do not fit the
-    /// machine's L1 geometry.
-    pub fn run_on_with_noise(
+    pub fn run_on(
         &self,
         machine: &mut Machine,
         noise: NoiseModel,
+    ) -> Result<CovertRun, ParamError> {
+        let cadence = self.params.tr.max(1);
+        self.run_wired(machine, None, |m| noise.spawn(m, cadence, self.seed))
+    }
+
+    /// The one run sequence behind [`CovertConfig::run_on`] and
+    /// [`percent_ones`]: validate, wire the endpoints, spawn the third
+    /// party (right after the channel's own allocations, so a quiet
+    /// run performs exactly the two-party allocation sequence), build
+    /// the probe, warm the channel lines, and schedule the threads.
+    ///
+    /// With `max_samples` unset the run lasts one `Ts` per message bit
+    /// plus one. A receiver capped at `n` samples instead runs until
+    /// it has them, with slack for every party sharing the quanta,
+    /// under its own scheduler stream.
+    fn run_wired(
+        &self,
+        machine: &mut Machine,
+        max_samples: Option<usize>,
+        third_party: impl FnOnce(&mut Machine) -> Option<ThirdParty>,
     ) -> Result<CovertRun, ParamError> {
         let geom = machine.hierarchy().l1().geometry();
         self.params
             .validate(geom.ways(), geom.num_sets() as usize)?;
 
-        let (endpoints, receiver) = self.wire(machine);
-        let mut sender_prog =
+        let (endpoints, mut receiver) = self.wire(machine);
+        let mut sender =
             LruSender::new(endpoints.sender_line, self.message.clone(), self.params.ts);
         if self.sharing == Sharing::TimeSliced {
             // Keep multi-second time-sliced runs tractable: the
             // sender touches its line every ~50k cycles instead of
             // every ~30 — still hundreds of touches per quantum, so
             // the channel semantics are unchanged.
-            sender_prog = sender_prog.repeating().with_encode_calc(50_000);
+            sender = sender.repeating().with_encode_calc(50_000);
         }
-        let mut receiver_prog = receiver;
+        if let Some(n) = max_samples {
+            receiver = receiver.with_max_samples(n);
+        }
 
         // The interference party, if any: its own process, its own
         // buffer, its op stream derived only from the run seed.
-        let mut noise_prog = noise.spawn(machine, self.params.tr.max(1), self.seed);
+        let mut third = third_party(machine);
 
         let probe_set = setup::reserved_probe_set(machine, self.params.target_set);
         let probe = LatencyProbe::new(
@@ -141,25 +154,35 @@ impl CovertConfig {
         }
         machine.access(endpoints.sender_pid, endpoints.sender_line);
 
-        let limit = (self.message.len() as u64 + 1) * self.params.ts;
+        let (limit, sched_seed) = match max_samples {
+            None => (
+                (self.message.len() as u64 + 1) * self.params.ts,
+                self.seed ^ 0x5eed,
+            ),
+            Some(n) => {
+                let parties = 2 + u64::from(third.is_some());
+                (
+                    (n as u64 + 8) * (self.params.tr + 100_000) + parties * 400_000_000,
+                    self.seed ^ 0x711c,
+                )
+            }
+        };
         let mut threads = vec![
-            ThreadHandle::new(endpoints.sender_pid, &mut sender_prog),
-            ThreadHandle::with_probe(endpoints.receiver_pid, &mut receiver_prog, probe),
+            ThreadHandle::new(endpoints.sender_pid, &mut sender),
+            ThreadHandle::with_probe(endpoints.receiver_pid, &mut receiver, probe),
         ];
-        if let Some((noise_pid, prog)) = noise_prog.as_mut() {
-            threads.push(ThreadHandle::new(*noise_pid, prog));
+        if let Some((pid, prog)) = third.as_mut() {
+            threads.push(ThreadHandle::new(*pid, &mut **prog));
         }
         let report = match self.sharing {
             Sharing::HyperThreaded => {
-                HyperThreaded::new(self.seed ^ 0x5eed).run(machine, &mut threads, limit)
+                HyperThreaded::new(sched_seed).run(machine, &mut threads, limit)
             }
-            Sharing::TimeSliced => {
-                TimeSliced::new(self.seed ^ 0x5eed).run(machine, &mut threads, limit)
-            }
+            Sharing::TimeSliced => TimeSliced::new(sched_seed).run(machine, &mut threads, limit),
         };
 
         Ok(CovertRun {
-            samples: receiver_prog.into_samples(),
+            samples: receiver.into_samples(),
             hit_threshold: self.platform.hit_threshold(),
             rate_bps: self.platform.rate_bps(self.params.ts),
             report,
@@ -191,153 +214,9 @@ impl CovertConfig {
     }
 }
 
-/// Shared body of the `percent_ones*` family: wire the time-sliced
-/// constant-bit channel, optionally attach one interfering third
-/// party (built by `third_party` right after the channel endpoints,
-/// so the clean path performs *exactly* the pre-noise allocation and
-/// access sequence), run, and tally the fraction of observations
-/// read as `1`.
-#[allow(clippy::too_many_arguments)]
-fn percent_ones_run(
-    platform: Platform,
-    params: ChannelParams,
-    variant: Variant,
-    bit: bool,
-    n_samples: usize,
-    inclusion: Inclusion,
-    seed: u64,
-    third_party: impl FnOnce(&mut Machine) -> Option<(Pid, Box<dyn Program>)>,
-) -> Result<f64, ParamError> {
-    let cfg = CovertConfig {
-        platform,
-        params,
-        variant,
-        sharing: Sharing::TimeSliced,
-        message: vec![bit],
-        seed,
-    };
-    let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, seed);
-    // Swap the inclusion model only when asked, so the default path
-    // stays byte-identical to the pre-hierarchy-axis behaviour.
-    if inclusion != Inclusion::Inclusive {
-        let swapped = machine.hierarchy().clone().with_inclusion(inclusion);
-        *machine.hierarchy_mut() = swapped;
-    }
-    let geom = machine.hierarchy().l1().geometry();
-    params.validate(geom.ways(), geom.num_sets() as usize)?;
-
-    let (endpoints, receiver) = cfg.wire(&mut machine);
-    let mut sender_prog = LruSender::new(endpoints.sender_line, vec![bit], params.ts)
-        .repeating()
-        .with_encode_calc(50_000);
-    let mut receiver_prog = receiver.with_max_samples(n_samples);
-
-    let noise = third_party(&mut machine);
-
-    let probe_set = setup::reserved_probe_set(&machine, params.target_set);
-    let probe = LatencyProbe::new(
-        &mut machine,
-        endpoints.receiver_pid,
-        platform.tsc,
-        probe_set,
-    );
-    for &va in &endpoints.receiver_lines {
-        machine.access(endpoints.receiver_pid, va);
-    }
-    machine.access(endpoints.sender_pid, endpoints.sender_line);
-
-    // Enough wall-clock for n_samples periods plus scheduling slack
-    // per party sharing the quanta.
-    let parties = 2 + u64::from(noise.is_some());
-    let limit = (n_samples as u64 + 8) * (params.tr + 100_000) + parties * 400_000_000;
-    let mut threads = vec![
-        ThreadHandle::new(endpoints.sender_pid, &mut sender_prog),
-        ThreadHandle::with_probe(endpoints.receiver_pid, &mut receiver_prog, probe),
-    ];
-    let mut noise = noise;
-    if let Some((noise_pid, prog)) = noise.as_mut() {
-        threads.push(ThreadHandle::new(*noise_pid, &mut **prog));
-    }
-    TimeSliced::new(seed ^ 0x711c).run(&mut machine, &mut threads, limit);
-
-    let threshold = platform.hit_threshold();
-    let samples = receiver_prog.samples();
-    if samples.is_empty() {
-        return Ok(0.0);
-    }
-    let ones = samples
-        .iter()
-        .filter(|s| {
-            let hit = s.measured <= threshold;
-            match variant {
-                Variant::SharedMemory | Variant::SharedMemoryThreads => hit,
-                Variant::NoSharedMemory => !hit,
-            }
-        })
-        .count();
-    Ok(ones as f64 / samples.len() as f64)
-}
-
-/// The time-sliced constant-bit experiment behind Figs. 6, 8, 15:
-/// the sender sends only `bit`, the receiver takes `n_samples`
-/// measurements at period `tr`, and the result is the fraction of
-/// measurements the receiver classifies as `1`.
-///
-/// # Errors
-///
-/// Returns [`ParamError`] if the parameters do not fit the
-/// platform's L1 geometry.
-pub fn percent_ones(
-    platform: Platform,
-    params: ChannelParams,
-    variant: Variant,
-    bit: bool,
-    n_samples: usize,
-    seed: u64,
-) -> Result<f64, ParamError> {
-    percent_ones_run(
-        platform,
-        params,
-        variant,
-        bit,
-        n_samples,
-        Inclusion::Inclusive,
-        seed,
-        |_| None,
-    )
-}
-
-/// [`percent_ones`] with the L1↔L2 inclusion model swapped before
-/// the run (the scenario layer's hierarchy axis). Passing
-/// [`Inclusion::Inclusive`] is byte-identical to [`percent_ones`];
-/// a back-invalidating hierarchy additionally demotes every thread
-/// to block execution because the quantum fast-forward soundness
-/// condition no longer holds.
-///
-/// # Errors
-///
-/// Returns [`ParamError`] if the parameters do not fit the
-/// platform's L1 geometry.
-pub fn percent_ones_with_hierarchy(
-    platform: Platform,
-    params: ChannelParams,
-    variant: Variant,
-    bit: bool,
-    n_samples: usize,
-    inclusion: Inclusion,
-    seed: u64,
-) -> Result<f64, ParamError> {
-    percent_ones_run(
-        platform,
-        params,
-        variant,
-        bit,
-        n_samples,
-        inclusion,
-        seed,
-        |_| None,
-    )
-}
+/// A party sharing the core with the sender and receiver: its process
+/// and the program it runs.
+pub type ThirdParty = (Pid, Box<dyn Program>);
 
 /// One point of a time-sliced percent-of-ones grid (Figs. 6, 8, 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -350,75 +229,63 @@ pub struct GridPoint {
     pub seed: u64,
 }
 
-/// [`percent_ones`] under a parametric [`NoiseModel`]: the
-/// interference process time-slices the core as a third party.
-/// `NoiseModel::None` delegates to [`percent_ones`] unchanged.
+/// The time-sliced constant-bit experiment behind Figs. 6, 8, 15: the
+/// sender sends only `point.bit`, the receiver takes `n_samples`
+/// measurements at period `Tr`, and the result is the fraction of
+/// measurements the receiver classifies as `1`.
+///
+/// The caller supplies the machine (its replacement policy and
+/// inclusion model) and the third party, if any: `third_party` runs
+/// once the channel endpoints are wired and returns the process to
+/// time-slice the core with — `|_| None` for a quiet machine,
+/// [`NoiseModel::spawn`] for a parametric interference model,
+/// [`benign_process`] for the §V-B co-runner.
 ///
 /// # Errors
 ///
-/// Returns [`ParamError`] if the parameters do not fit the
-/// platform's L1 geometry.
-pub fn percent_ones_noisy(
+/// Returns [`ParamError`] if the parameters do not fit the machine's
+/// L1 geometry.
+pub fn percent_ones(
+    machine: &mut Machine,
     platform: Platform,
-    params: ChannelParams,
     variant: Variant,
-    bit: bool,
+    point: GridPoint,
     n_samples: usize,
-    noise: NoiseModel,
-    seed: u64,
+    third_party: impl FnOnce(&mut Machine) -> Option<ThirdParty>,
 ) -> Result<f64, ParamError> {
-    if noise.is_none() {
-        return percent_ones(platform, params, variant, bit, n_samples, seed);
-    }
-    percent_ones_run(
+    let cfg = CovertConfig {
         platform,
-        params,
+        params: point.params,
         variant,
-        bit,
-        n_samples,
-        Inclusion::Inclusive,
-        seed,
-        |machine| {
-            let (noise_pid, prog) = noise
-                .spawn(machine, params.tr.max(1), seed)
-                .expect("non-none noise model spawns");
-            Some((noise_pid, Box::new(prog) as Box<dyn Program>))
-        },
-    )
+        sharing: Sharing::TimeSliced,
+        message: vec![point.bit],
+        seed: point.seed,
+    };
+    let run = cfg.run_wired(machine, Some(n_samples), third_party)?;
+    let convention = match variant {
+        Variant::SharedMemory | Variant::SharedMemoryThreads => BitConvention::HitIsOne,
+        Variant::NoSharedMemory => BitConvention::MissIsOne,
+    };
+    Ok(decode::percent_ones(
+        &run.samples,
+        run.hit_threshold,
+        convention,
+    ))
 }
 
-/// [`percent_ones`] with a third, benign process time-slicing the
-/// same core (§V-B: "any other processes running during Tr could
-/// pollute the target set and introduce much noise" — the reason the
-/// paper could not observe time-sliced Algorithm 2 at all).
-///
-/// The noise program touches random lines of a 256-line buffer,
-/// polluting every L1 set including the target.
-pub fn percent_ones_with_noise(
-    platform: Platform,
-    params: ChannelParams,
-    variant: Variant,
-    bit: bool,
-    n_samples: usize,
-    seed: u64,
-) -> Result<f64, ParamError> {
+/// The benign third process of §V-B ("any other processes running
+/// during Tr could pollute the target set and introduce much noise" —
+/// the reason the paper could not observe time-sliced Algorithm 2 at
+/// all): it touches random lines of a 256-line buffer, polluting every
+/// L1 set including the target. Pass it to [`percent_ones`] as
+/// `|m| benign_process(m, seed)`.
+pub fn benign_process(machine: &mut Machine, seed: u64) -> Option<ThirdParty> {
     use exec_sim::noise::RandomTouches;
 
-    percent_ones_run(
-        platform,
-        params,
-        variant,
-        bit,
-        n_samples,
-        Inclusion::Inclusive,
-        seed,
-        |machine| {
-            let noise_pid = machine.create_process();
-            let noise_buf = machine.alloc_pages(noise_pid, 4);
-            let touches = RandomTouches::new(noise_buf, 4 * 64, 64, 60_000, seed ^ 0x0153);
-            Some((noise_pid, Box::new(touches) as Box<dyn Program>))
-        },
-    )
+    let pid = machine.create_process();
+    let buf = machine.alloc_pages(pid, 4);
+    let touches = RandomTouches::new(buf, 4 * 64, 64, 60_000, seed ^ 0x0153);
+    Some((pid, Box::new(touches)))
 }
 
 #[cfg(test)]
@@ -555,8 +422,24 @@ mod tests {
             ts: 100_000_000,
             tr: 100_000_000,
         };
-        let p0 = percent_ones(platform, params, Variant::SharedMemory, false, 60, 5).unwrap();
-        let p1 = percent_ones(platform, params, Variant::SharedMemory, true, 60, 5).unwrap();
+        let run = |bit| {
+            let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, 5);
+            let point = GridPoint {
+                params,
+                bit,
+                seed: 5,
+            };
+            percent_ones(
+                &mut machine,
+                platform,
+                Variant::SharedMemory,
+                point,
+                60,
+                |_| None,
+            )
+            .unwrap()
+        };
+        let (p0, p1) = (run(false), run(true));
         assert!(
             p1 > p0 + 0.1,
             "sending 1 must yield more observed 1s (got p0={p0:.2}, p1={p1:.2})"
@@ -698,7 +581,7 @@ mod diagnostics_bitplru {
                 };
                 let mut machine =
                     exec_sim::machine::Machine::new(cfg.platform.arch, PolicyKind::BitPlru, 7);
-                let run = cfg.run_on(&mut machine).unwrap();
+                let run = cfg.run_on(&mut machine, NoiseModel::None).unwrap();
                 let hits = run
                     .samples
                     .iter()

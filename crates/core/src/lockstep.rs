@@ -633,6 +633,7 @@ enum Phase {
 mod tests {
     use super::*;
     use crate::covert::CovertConfig;
+    use crate::noise::NoiseModel;
 
     fn scalar_run(spec: &BatchSpec, message: &[bool], seed: u64) -> crate::covert::CovertRun {
         let cfg = CovertConfig {
@@ -644,7 +645,7 @@ mod tests {
             seed,
         };
         let mut machine = Machine::new(spec.platform.arch, spec.policy, seed);
-        cfg.run_on(&mut machine).unwrap()
+        cfg.run_on(&mut machine, NoiseModel::None).unwrap()
     }
 
     fn assert_batch_matches_scalar(spec: &BatchSpec, lanes: &[LaneSpec]) {

@@ -42,6 +42,8 @@ use rand::{Rng, SeedableRng};
 use exec_sim::block::BlockCtx;
 use exec_sim::program::{Footprint, Op, Program};
 
+use crate::covert::ThirdParty;
+
 use std::error::Error;
 use std::fmt;
 
@@ -251,7 +253,7 @@ impl NoiseModel {
         machine: &mut exec_sim::machine::Machine,
         cadence_cycles: u64,
         seed: u64,
-    ) -> Option<(exec_sim::machine::Pid, NoiseProgram)> {
+    ) -> Option<ThirdParty> {
         if self.is_none() {
             return None;
         }
@@ -259,7 +261,7 @@ impl NoiseModel {
         let lines = self.buffer_lines().min(u64::from(MAX_NOISE_LINES));
         let buffer = machine.alloc_pages(pid, lines.div_ceil(64).max(1));
         self.program(buffer, cadence_cycles, seed ^ 0x0153)
-            .map(|prog| (pid, prog))
+            .map(|prog| (pid, Box::new(prog) as Box<dyn Program>))
     }
 
     /// The stream face: a gate + address source for

@@ -3,30 +3,18 @@
 //! load is no longer speculative. Squashed transient loads therefore
 //! leave nothing for any disclosure primitive to read.
 
-use attacks::primitive::{FlushReloadPrimitive, LruAlg1Primitive, LruAlg2Primitive};
-use attacks::spectre::{decode_symbols, encode_symbols, SpectreAttack};
+use attacks::spectre::{decode_symbols, encode_symbols, SpectreAttack, SpectreChannel};
 use cache_sim::profiles::MicroArch;
 use cache_sim::replacement::PolicyKind;
 use exec_sim::machine::Machine;
-use exec_sim::speculation::{build_victim, SpecMode};
+use exec_sim::speculation::SpecMode;
 use lru_channel::params::Platform;
-
-/// Which disclosure primitive to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Channel {
-    /// Flush+Reload.
-    FlushReload,
-    /// LRU Algorithm 1.
-    LruAlg1,
-    /// LRU Algorithm 2.
-    LruAlg2,
-}
 
 /// Result of one Spectre-vs-defense run.
 #[derive(Debug, Clone)]
 pub struct SpectreDefenseResult {
     /// Channel attacked through.
-    pub channel: Channel,
+    pub channel: SpectreChannel,
     /// Speculation mode (Baseline or Invisible).
     pub mode: SpecMode,
     /// Fraction of secret symbols recovered correctly.
@@ -38,38 +26,25 @@ pub struct SpectreDefenseResult {
 /// Runs the Spectre attack over `secret` through `channel` with the
 /// given speculation mode and reports recovery accuracy.
 pub fn spectre_under_mode(
-    channel: Channel,
+    channel: SpectreChannel,
     mode: SpecMode,
     secret: &str,
     seed: u64,
 ) -> SpectreDefenseResult {
-    let platform = Platform::e5_2690();
     let mut machine = Machine::new(
         MicroArch::sandy_bridge_e5_2690(),
         PolicyKind::TreePlru,
         seed,
     );
-    let symbols = encode_symbols(secret);
-    let (mut victim, off) = build_victim(&mut machine, &symbols, 8);
     let attack = SpectreAttack {
         mode,
         seed,
         ..SpectreAttack::default()
     };
-    let got = match channel {
-        Channel::FlushReload => {
-            let mut p = FlushReloadPrimitive::new(victim.pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut p, off, symbols.len())
-        }
-        Channel::LruAlg1 => {
-            let mut p = LruAlg1Primitive::new(&mut machine, victim.pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut p, off, symbols.len())
-        }
-        Channel::LruAlg2 => {
-            let mut p = LruAlg2Primitive::new(&mut machine, victim.pid, victim.array2, platform);
-            attack.recover(&mut machine, &mut victim, &mut p, off, symbols.len())
-        }
-    };
+    let got = attack
+        .recover_secret(&mut machine, Platform::e5_2690(), channel, secret, false)
+        .symbols;
+    let symbols = encode_symbols(secret);
     let correct = got
         .iter()
         .zip(symbols.iter())
@@ -86,7 +61,7 @@ pub fn spectre_under_mode(
 /// The full ablation: every channel, with and without the defense.
 pub fn ablation(secret: &str, seed: u64) -> Vec<SpectreDefenseResult> {
     let mut out = Vec::new();
-    for channel in [Channel::FlushReload, Channel::LruAlg1, Channel::LruAlg2] {
+    for channel in SpectreChannel::ALL {
         for mode in [SpecMode::Baseline, SpecMode::Invisible] {
             out.push(spectre_under_mode(channel, mode, secret, seed));
         }
@@ -100,7 +75,7 @@ mod tests {
 
     #[test]
     fn baseline_leaks_invisible_does_not() {
-        for channel in [Channel::LruAlg1, Channel::LruAlg2] {
+        for channel in [SpectreChannel::LruAlg1, SpectreChannel::LruAlg2] {
             let base = spectre_under_mode(channel, SpecMode::Baseline, "hi", 3);
             let inv = spectre_under_mode(channel, SpecMode::Invisible, "hi", 3);
             assert!(
@@ -118,7 +93,7 @@ mod tests {
 
     #[test]
     fn invisible_speculation_also_stops_flush_reload() {
-        let inv = spectre_under_mode(Channel::FlushReload, SpecMode::Invisible, "hi", 4);
+        let inv = spectre_under_mode(SpectreChannel::FlushReload, SpecMode::Invisible, "hi", 4);
         assert!(inv.accuracy < 0.5, "got {}", inv.recovered);
     }
 

@@ -1,20 +1,18 @@
-//! Executing scenarios: the [`Experiment`] trait and one
-//! implementation per [`ExperimentKind`].
+//! Executing scenarios: [`Scenario::run_once`] dispatches on the
+//! [`ExperimentKind`] to one private function per kind.
 //!
-//! An experiment is a pure function of its seed: `run(seed)` builds
-//! every simulator object it needs from scratch, so experiments fan
-//! out over host cores through [`lru_channel::trials`] with
-//! bit-identical results to a sequential sweep. The returned
-//! [`Outcome`] carries a deterministic JSON metrics tree — the same
-//! numbers whether they end up in a bench table or in
-//! `lru-leak … --json` output.
+//! A run is a pure function of its seed: `run_once(seed)` builds
+//! every simulator object it needs from scratch, so trials fan out
+//! over host cores through [`lru_channel::trials`] with bit-identical
+//! results to a sequential sweep. The returned [`Outcome`] carries a
+//! deterministic JSON metrics tree — the same numbers whether they
+//! end up in a bench table or in `lru-leak … --json` output.
 
 use attacks::encoding_time::{encoding_latency, EncodedChannel};
 use attacks::flush_reload::{EvictionMethod, FlushReloadReceiver};
-use attacks::miss_rates::{self, MissRateRow, SenderScenario, SpectreChannel};
+use attacks::miss_rates::{self, MissRateRow, SenderScenario};
 use attacks::prime_probe::PrimeProbeReceiver;
-use attacks::primitive::{FlushReloadPrimitive, LruAlg1Primitive, LruAlg2Primitive};
-use attacks::spectre::{decode_symbols, encode_symbols, SpectreAttack};
+use attacks::spectre::{decode_symbols, SpectreAttack, SpectreChannel};
 use cache_sim::addr::PhysAddr;
 use cache_sim::geometry::CacheGeometry;
 use cache_sim::hierarchy::{DualCore, HitLevel};
@@ -30,12 +28,12 @@ use defense::policy_eval::fig9_row;
 use defense::randomization::{index_randomization_defeats_eviction, random_fill_leak};
 use exec_sim::machine::Machine;
 use exec_sim::measure::{rdtscp_single, LatencyProbe};
+use exec_sim::program::Program;
 use exec_sim::sched::{HyperThreaded, ThreadHandle};
-use exec_sim::speculation::{build_victim, SpecMode};
+use exec_sim::speculation::SpecMode;
 use lru_channel::analysis::Histogram;
 use lru_channel::covert::{
-    percent_ones, percent_ones_noisy, percent_ones_with_hierarchy, percent_ones_with_noise,
-    CovertConfig, Sharing, Variant,
+    benign_process, percent_ones, CovertConfig, GridPoint, Sharing, Variant,
 };
 use lru_channel::decode::{self, BitConvention};
 use lru_channel::edit_distance::error_rate;
@@ -43,7 +41,7 @@ use lru_channel::lockstep::{self, BatchSpec, LaneSpec, LockstepMode};
 use lru_channel::multiset::run_parallel_alg1;
 use lru_channel::plru_study::{eviction_curve, InitCond, SequenceKind};
 use lru_channel::protocol::LruSender;
-use lru_channel::setup;
+use lru_channel::setup::{self, Endpoints};
 use lru_channel::trials::{
     derive_seed, run_trials_fold_ctrl, run_trials_lockstep, FoldError, RunCtrl,
 };
@@ -66,50 +64,59 @@ pub struct Outcome {
     pub metrics: Value,
 }
 
-/// One runnable experiment. Implementations must derive everything
-/// from `seed`, so a run is reproducible and safely parallel.
-pub trait Experiment {
-    /// Runs the experiment once.
-    fn run(&self, seed: u64) -> Outcome;
-}
-
 impl Scenario {
-    /// The experiment this scenario describes.
-    pub fn experiment(&self) -> Box<dyn Experiment + Send + Sync> {
-        match self.kind {
-            ExperimentKind::Covert => Box::new(CovertExperiment(self.clone())),
-            ExperimentKind::PercentOnes { .. } => Box::new(PercentOnesExperiment(self.clone())),
-            ExperimentKind::PrimeProbe { .. } => Box::new(PrimeProbeExperiment(self.clone())),
-            ExperimentKind::FlushReload { .. } => Box::new(FlushReloadExperiment(self.clone())),
-            ExperimentKind::Spectre { .. } => Box::new(SpectreExperiment(self.clone())),
-            ExperimentKind::DefenseEval { .. } => Box::new(DefenseEvalExperiment(self.clone())),
-            ExperimentKind::PlruEviction { .. } => Box::new(PlruEvictionExperiment(self.clone())),
-            ExperimentKind::LatencyCheck => Box::new(LatencyCheckExperiment(self.clone())),
-            ExperimentKind::PlatformSpec => Box::new(PlatformSpecExperiment(self.clone())),
-            ExperimentKind::EncodingLatency { .. } => {
-                Box::new(EncodingLatencyExperiment(self.clone()))
-            }
-            ExperimentKind::SenderMissRates { .. } => {
-                Box::new(SenderMissRatesExperiment(self.clone()))
-            }
-            ExperimentKind::SpectreMissRates { .. } => {
-                Box::new(SpectreMissRatesExperiment(self.clone()))
-            }
-            ExperimentKind::ProbeHistogram { .. } => {
-                Box::new(ProbeHistogramExperiment(self.clone()))
-            }
-            ExperimentKind::PolicyPerf { .. } => Box::new(PolicyPerfExperiment(self.clone())),
-            ExperimentKind::MultiSet { .. } => Box::new(MultiSetExperiment(self.clone())),
-            ExperimentKind::L2Channel { .. } => Box::new(L2ChannelExperiment(self.clone())),
-            ExperimentKind::InclusionVictim { .. } => {
-                Box::new(InclusionVictimExperiment(self.clone()))
-            }
-        }
-    }
-
-    /// Runs the experiment once with an explicit seed.
+    /// Runs the scenario's experiment once with an explicit seed. The
+    /// run derives everything from `seed`, so it is reproducible and
+    /// safely parallel.
     pub fn run_once(&self, seed: u64) -> Outcome {
-        self.experiment().run(seed)
+        let metrics = match self.kind {
+            ExperimentKind::Covert => covert(self, seed),
+            ExperimentKind::PercentOnes { samples } => percent_ones_metrics(self, samples, seed),
+            ExperimentKind::PrimeProbe { samples } => prime_probe(self, samples, seed),
+            ExperimentKind::FlushReload { samples, to_mem } => {
+                flush_reload(self, samples, to_mem, seed)
+            }
+            ExperimentKind::Spectre {
+                channel,
+                rounds,
+                prefetcher,
+            } => spectre(self, channel, rounds, prefetcher, seed),
+            ExperimentKind::DefenseEval { trials } => defense_eval(self, trials, seed),
+            ExperimentKind::PlruEviction {
+                sequence,
+                init,
+                iterations,
+                trials,
+            } => plru_eviction(self, sequence, init, iterations, trials, seed),
+            ExperimentKind::LatencyCheck => latency_check(self, seed),
+            ExperimentKind::PlatformSpec => platform_spec(self),
+            ExperimentKind::EncodingLatency { channel } => encoding_latency_metrics(self, channel),
+            ExperimentKind::SenderMissRates { sender, bits } => {
+                miss_rate_row_metrics(&miss_rates::sender_miss_rates(
+                    self.platform.platform(),
+                    SenderScenario::ALL[sender],
+                    bits,
+                    seed,
+                ))
+            }
+            ExperimentKind::SpectreMissRates { channel } => {
+                miss_rate_row_metrics(&miss_rates::spectre_miss_rates(
+                    self.platform.platform(),
+                    spectre_channel(channel),
+                    self.message.text().expect("checked at build"),
+                    seed,
+                ))
+            }
+            ExperimentKind::ProbeHistogram {
+                samples,
+                single_load,
+            } => probe_histogram(self, samples, single_load, seed),
+            ExperimentKind::PolicyPerf { accesses } => policy_perf(self, accesses, seed),
+            ExperimentKind::MultiSet { sets, frames } => multi_set(self, sets, frames, seed),
+            ExperimentKind::L2Channel { samples } => l2_channel(self, samples, seed),
+            ExperimentKind::InclusionVictim { trials } => inclusion_victim(self, trials, seed),
+        };
+        Outcome { metrics }
     }
 
     /// Runs the scenario's `trials` independent repetitions (seeded
@@ -184,7 +191,6 @@ impl Scenario {
                 return self.run_reduced_lockstep(reducer, progress, ctrl, &spec);
             }
         }
-        let experiment = self.experiment();
         let n = self.trials.max(1);
         let single = self.trials <= 1;
         let done = AtomicUsize::new(0);
@@ -197,7 +203,7 @@ impl Scenario {
                 } else {
                     derive_seed(self.seed, i as u64)
                 };
-                let outcome = experiment.run(seed);
+                let outcome = self.run_once(seed);
                 if let Some(p) = progress {
                     p(done.fetch_add(1, Ordering::Relaxed) + 1, n);
                 }
@@ -407,38 +413,36 @@ fn convention_for(variant: Variant) -> (BitConvention, f64) {
     }
 }
 
-/// An end-to-end covert run: transmit, decode, score.
-pub struct CovertExperiment(pub Scenario);
-
-impl Experiment for CovertExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let platform = s.platform.platform();
-        let message = s.message.bits(seed);
-        let cfg = CovertConfig {
-            platform,
-            params: s.params,
-            variant: s.variant,
-            sharing: s.sharing,
-            message,
-            seed,
-        };
-        let mut machine = Machine::new(platform.arch, s.policy, seed);
-        // Swap the inclusion model only when the hierarchy axis is
-        // non-default, so the default path builds the machine exactly
-        // as before and stays byte-identical.
-        if s.hierarchy != HierarchyId::Inclusive {
-            let swapped = machine
-                .hierarchy()
-                .clone()
-                .with_inclusion(s.hierarchy.inclusion());
-            *machine.hierarchy_mut() = swapped;
-        }
-        let run = cfg
-            .run_on_with_noise(&mut machine, s.noise)
-            .expect("validated at build");
-        covert_outcome(s, seed, &run.samples, run.hit_threshold, run.rate_bps)
+/// The scenario's simulated machine: the platform's microarchitecture
+/// under the scenario's L1 policy. The inclusion model is swapped only
+/// when the hierarchy axis is non-default, so the default machine is
+/// built exactly as the platform describes it.
+fn machine(s: &Scenario, seed: u64) -> Machine {
+    let mut machine = Machine::new(s.platform.platform().arch, s.policy, seed);
+    if s.hierarchy != HierarchyId::Inclusive {
+        let swapped = machine
+            .hierarchy()
+            .clone()
+            .with_inclusion(s.hierarchy.inclusion());
+        *machine.hierarchy_mut() = swapped;
     }
+    machine
+}
+
+/// An end-to-end covert run: transmit, decode, score.
+fn covert(s: &Scenario, seed: u64) -> Value {
+    let cfg = CovertConfig {
+        platform: s.platform.platform(),
+        params: s.params,
+        variant: s.variant,
+        sharing: s.sharing,
+        message: s.message.bits(seed),
+        seed,
+    };
+    let run = cfg
+        .run_on(&mut machine(s, seed), s.noise)
+        .expect("validated at build");
+    covert_outcome(s, seed, &run.samples, run.hit_threshold, run.rate_bps).metrics
 }
 
 /// Decode + score + metrics of one covert trial, shared by the scalar
@@ -514,124 +518,106 @@ fn covert_outcome(
     Outcome { metrics }
 }
 
-/// The time-sliced constant-bit fraction (Figs. 6/8/15).
-pub struct PercentOnesExperiment(pub Scenario);
-
-impl Experiment for PercentOnesExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::PercentOnes { samples } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let MessageSource::Constant { bit, .. } = s.message else {
-            unreachable!("message checked at build");
-        };
-        let platform = s.platform.platform();
-        let fraction = if s.workload == WorkloadId::BenignNoise {
-            percent_ones_with_noise(platform, s.params, s.variant, bit, samples, seed)
-        } else if !s.noise.is_none() {
-            percent_ones_noisy(platform, s.params, s.variant, bit, samples, s.noise, seed)
-        } else if s.hierarchy != HierarchyId::Inclusive {
-            // Mutually exclusive with the two arms above by the
-            // quiet-machine validation in `Scenario::build`.
-            percent_ones_with_hierarchy(
-                platform,
-                s.params,
-                s.variant,
-                bit,
-                samples,
-                s.hierarchy.inclusion(),
-                seed,
-            )
+/// The time-sliced constant-bit fraction (Figs. 6/8/15), with the
+/// benign co-runner or the noise model as the third party.
+fn percent_ones_metrics(s: &Scenario, samples: usize, seed: u64) -> Value {
+    let MessageSource::Constant { bit, .. } = s.message else {
+        unreachable!("message checked at build");
+    };
+    let point = GridPoint {
+        params: s.params,
+        bit,
+        seed,
+    };
+    let third_party = |m: &mut Machine| {
+        if s.workload == WorkloadId::BenignNoise {
+            benign_process(m, seed)
         } else {
-            percent_ones(platform, s.params, s.variant, bit, samples, seed)
+            s.noise.spawn(m, s.params.tr.max(1), seed)
         }
-        .expect("validated at build");
-        Outcome {
-            metrics: Value::obj()
-                .with("bit", bit)
-                .with("samples", samples)
-                .with("fraction", fraction),
-        }
-    }
+    };
+    let fraction = percent_ones(
+        &mut machine(s, seed),
+        s.platform.platform(),
+        s.variant,
+        point,
+        samples,
+        third_party,
+    )
+    .expect("validated at build");
+    Value::obj()
+        .with("bit", bit)
+        .with("samples", samples)
+        .with("fraction", fraction)
 }
 
-/// The shared L2 model the two cross-core experiments run on: a
-/// 2-way LRU L2 behind the platform's private L1 geometry. Two ways
-/// keep the replacement state trivially steerable (one touch decides
-/// the victim), which is what makes the LRU readout protocol exact.
-fn cross_core_l2() -> CacheGeometry {
-    CacheGeometry::new(64, 512, 2).expect("static L2 geometry is valid")
+/// The two cores the cross-core experiments run on: the platform's
+/// private L1s over a shared 2-way LRU L2 under the scenario's
+/// hierarchy backend. Two ways keep the replacement state trivially
+/// steerable (one touch decides the victim), which is what makes the
+/// LRU readout protocol exact.
+fn cross_core(s: &Scenario, seed: u64) -> (DualCore, CacheGeometry) {
+    let platform = s.platform.platform();
+    let l2_geom = CacheGeometry::new(64, 512, 2).expect("static L2 geometry is valid");
+    let cores = DualCore::new(
+        platform.arch.l1d,
+        s.policy,
+        l2_geom,
+        PolicyKind::Lru,
+        platform.arch.latencies,
+        s.hierarchy.inclusion(),
+        seed,
+    );
+    (cores, l2_geom)
 }
 
-/// The cross-core LRU channel through the shared L2 (`l2-channel`):
-/// two cores with private L1s over one shared 2-way LRU L2. Per bit,
-/// the sender parks a line in the target L2 set and the receiver
-/// parks its own; the sender encodes a `1` by re-touching its line
-/// (after a modeled self-eviction from its private L1 — an L2 *hit*
-/// that flips the set's LRU order), so the receiver's subsequent
-/// fill evicts the receiver's parked line instead of the sender's.
-/// Only a back-invalidating hierarchy propagates that L2 eviction
-/// into the receiver's private L1 where the reload can time it, so
-/// the artifact grid contrasts hierarchy backends: error_rate ~0
-/// under `back-invalidate`, and the sent fraction of ones under the
+/// The cross-core LRU channel through the shared L2 (`l2-channel`).
+/// Per bit, the sender parks a line in the target L2 set and the
+/// receiver parks its own; the sender encodes a `1` by re-touching
+/// its line (after a modeled self-eviction from its private L1 — an
+/// L2 *hit* that flips the set's LRU order), so the receiver's
+/// subsequent fill evicts the receiver's parked line instead of the
+/// sender's. Only a back-invalidating hierarchy propagates that L2
+/// eviction into the receiver's private L1 where the reload can time
+/// it, so the artifact grid contrasts hierarchy backends: error_rate
+/// ~0 under `back-invalidate`, and the sent fraction of ones under the
 /// silent `inclusive` / `non-inclusive` backends (the receiver then
 /// always reads 0).
-pub struct L2ChannelExperiment(pub Scenario);
-
-impl Experiment for L2ChannelExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::L2Channel { samples } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let l2_geom = cross_core_l2();
-        let mut cores = DualCore::new(
-            platform.arch.l1d,
-            s.policy,
-            l2_geom,
-            PolicyKind::Lru,
-            platform.arch.latencies,
-            s.hierarchy.inclusion(),
-            seed,
-        );
-        let message = s.message.bits(seed);
-        let sent: Vec<bool> = (0..samples).map(|i| message[i % message.len()]).collect();
-        // Lines k=0,1,2 of L2 set `t` sit `set_stride` apart: same L2
-        // set, distinct tags, and all in L1 set `t % 64` (the 8-way
-        // L1 holds the receiver's two without evictions).
-        let stride = l2_geom.set_stride();
-        let mut decoded = Vec::with_capacity(samples);
-        for (i, &bit) in sent.iter().enumerate() {
-            let set = (i as u64) % l2_geom.num_sets();
-            let sender_line = PhysAddr::new(set * 64);
-            let parked = PhysAddr::new(set * 64 + stride);
-            let filler = PhysAddr::new(set * 64 + 2 * stride);
-            cores.clear();
-            cores.access(1, sender_line); // sender installs its line
-            cores.access(0, parked); // L2 LRU order: sender_line, then parked
-            if bit {
-                // Encode 1: self-evict from the private L1, reload —
-                // the L2 hit promotes sender_line and demotes the
-                // receiver's parked line to LRU victim.
-                cores.l1_mut(1).flush_line(sender_line);
-                cores.access(1, sender_line);
-            }
-            cores.access(0, filler); // the fill evicts the set's LRU line
-            let reload = cores.access(0, parked);
-            decoded.push(reload.level != HitLevel::L1);
+fn l2_channel(s: &Scenario, samples: usize, seed: u64) -> Value {
+    let (mut cores, l2_geom) = cross_core(s, seed);
+    let message = s.message.bits(seed);
+    let sent: Vec<bool> = (0..samples).map(|i| message[i % message.len()]).collect();
+    // Lines k=0,1,2 of L2 set `t` sit `set_stride` apart: same L2
+    // set, distinct tags, and all in L1 set `t % 64` (the 8-way
+    // L1 holds the receiver's two without evictions).
+    let stride = l2_geom.set_stride();
+    let mut decoded = Vec::with_capacity(samples);
+    for (i, &bit) in sent.iter().enumerate() {
+        let set = (i as u64) % l2_geom.num_sets();
+        let sender_line = PhysAddr::new(set * 64);
+        let parked = PhysAddr::new(set * 64 + stride);
+        let filler = PhysAddr::new(set * 64 + 2 * stride);
+        cores.clear();
+        cores.access(1, sender_line); // sender installs its line
+        cores.access(0, parked); // L2 LRU order: sender_line, then parked
+        if bit {
+            // Encode 1: self-evict from the private L1, reload —
+            // the L2 hit promotes sender_line and demotes the
+            // receiver's parked line to LRU victim.
+            cores.l1_mut(1).flush_line(sender_line);
+            cores.access(1, sender_line);
         }
-        let errors = sent.iter().zip(&decoded).filter(|(a, b)| a != b).count();
-        Outcome {
-            metrics: Value::obj()
-                .with("samples", samples)
-                .with("hierarchy", s.hierarchy.name())
-                .with("error_rate", errors as f64 / samples.max(1) as f64)
-                .with("sent", bitstring(&sent, 512))
-                .with("decoded", bitstring(&decoded, 512)),
-        }
+        cores.access(0, filler); // the fill evicts the set's LRU line
+        let reload = cores.access(0, parked);
+        decoded.push(reload.level != HitLevel::L1);
     }
+    let errors = sent.iter().zip(&decoded).filter(|(a, b)| a != b).count();
+    Value::obj()
+        .with("samples", samples)
+        .with("hierarchy", s.hierarchy.name())
+        .with("error_rate", errors as f64 / samples.max(1) as f64)
+        .with("sent", bitstring(&sent, 512))
+        .with("decoded", bitstring(&decoded, 512))
 }
 
 /// The inclusion-victim probe (`inclusion-victim`): the receiver
@@ -641,266 +627,195 @@ impl Experiment for L2ChannelExperiment {
 /// private L1 copy — the classic inclusion-victim interference — so
 /// `signal_rate` (the fraction of trials whose reload missed L1) is
 /// 1 under `back-invalidate` and 0 under the silent backends.
-pub struct InclusionVictimExperiment(pub Scenario);
-
-impl Experiment for InclusionVictimExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::InclusionVictim { trials } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let l2_geom = cross_core_l2();
-        let mut cores = DualCore::new(
-            platform.arch.l1d,
-            s.policy,
-            l2_geom,
-            PolicyKind::Lru,
-            platform.arch.latencies,
-            s.hierarchy.inclusion(),
-            seed,
-        );
-        let stride = l2_geom.set_stride();
-        let mut signals = 0usize;
-        let mut reload_cycles = 0u64;
-        for t in 0..trials {
-            let set = (t as u64) % l2_geom.num_sets();
-            let victim = PhysAddr::new(set * 64);
-            cores.clear();
-            cores.access(0, victim); // receiver parks its line
-            cores.access(1, PhysAddr::new(set * 64 + stride));
-            cores.access(1, PhysAddr::new(set * 64 + 2 * stride));
-            let reload = cores.access(0, victim);
-            if reload.level != HitLevel::L1 {
-                signals += 1;
-            }
-            reload_cycles += u64::from(reload.cycles);
+fn inclusion_victim(s: &Scenario, trials: usize, seed: u64) -> Value {
+    let (mut cores, l2_geom) = cross_core(s, seed);
+    let stride = l2_geom.set_stride();
+    let mut signals = 0usize;
+    let mut reload_cycles = 0u64;
+    for t in 0..trials {
+        let set = (t as u64) % l2_geom.num_sets();
+        let victim = PhysAddr::new(set * 64);
+        cores.clear();
+        cores.access(0, victim); // receiver parks its line
+        cores.access(1, PhysAddr::new(set * 64 + stride));
+        cores.access(1, PhysAddr::new(set * 64 + 2 * stride));
+        let reload = cores.access(0, victim);
+        if reload.level != HitLevel::L1 {
+            signals += 1;
         }
-        Outcome {
-            metrics: Value::obj()
-                .with("trials", trials)
-                .with("hierarchy", s.hierarchy.name())
-                .with("signal_rate", signals as f64 / trials.max(1) as f64)
-                .with(
-                    "reload_cycles_mean",
-                    reload_cycles as f64 / trials.max(1) as f64,
-                ),
-        }
+        reload_cycles += u64::from(reload.cycles);
     }
+    Value::obj()
+        .with("trials", trials)
+        .with("hierarchy", s.hierarchy.name())
+        .with("signal_rate", signals as f64 / trials.max(1) as f64)
+        .with(
+            "reload_cycles_mean",
+            reload_cycles as f64 / trials.max(1) as f64,
+        )
+}
+
+/// Runs an LRU sender transmitting `message` against a baseline
+/// receiver on the other hyper-thread, for one `Ts` per bit plus one.
+/// The receiver's pointer-chase chain lives in the set the covert path
+/// reserves for it, never in the target set.
+fn run_baseline(
+    s: &Scenario,
+    machine: &mut Machine,
+    endpoints: &Endpoints,
+    message: &[bool],
+    receiver: &mut dyn Program,
+    seed: u64,
+) {
+    let mut sender = LruSender::new(endpoints.sender_line, message.to_vec(), s.params.ts);
+    let probe_set = setup::reserved_probe_set(machine, s.params.target_set);
+    let probe = LatencyProbe::new(
+        machine,
+        endpoints.receiver_pid,
+        s.platform.platform().tsc,
+        probe_set,
+    );
+    let limit = (message.len() as u64 + 1) * s.params.ts;
+    HyperThreaded::new(seed ^ 0x5eed).run(
+        machine,
+        &mut [
+            ThreadHandle::new(endpoints.sender_pid, &mut sender),
+            ThreadHandle::with_probe(endpoints.receiver_pid, receiver, probe),
+        ],
+        limit,
+    );
 }
 
 /// The Prime+Probe baseline: receiver primes/probes the whole target
 /// set while the LRU-style sender transmits.
-pub struct PrimeProbeExperiment(pub Scenario);
+fn prime_probe(s: &Scenario, samples: usize, seed: u64) -> Value {
+    let message = s.message.bits(seed);
+    let mut machine = machine(s, seed);
+    let sender_pid = machine.create_process();
+    let receiver_pid = machine.create_process();
+    let endpoints = setup::alg2(&mut machine, sender_pid, receiver_pid, s.params.target_set);
+    let ways = machine.hierarchy().l1().geometry().ways();
+    let prime_lines: Vec<_> = endpoints
+        .receiver_lines
+        .iter()
+        .copied()
+        .take(ways)
+        .collect();
+    let mut receiver = PrimeProbeReceiver::new(prime_lines, s.params.tr).with_max_samples(samples);
+    run_baseline(s, &mut machine, &endpoints, &message, &mut receiver, seed);
 
-impl Experiment for PrimeProbeExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::PrimeProbe { samples } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let message = s.message.bits(seed);
-        let mut machine = Machine::new(platform.arch, s.policy, seed);
-        let sender_pid = machine.create_process();
-        let receiver_pid = machine.create_process();
-        let endpoints = setup::alg2(&mut machine, sender_pid, receiver_pid, s.params.target_set);
-        let ways = machine.hierarchy().l1().geometry().ways();
-        let prime_lines: Vec<_> = endpoints
-            .receiver_lines
-            .iter()
-            .copied()
-            .take(ways)
-            .collect();
-        let mut sender = LruSender::new(endpoints.sender_line, message.clone(), s.params.ts);
-        let mut receiver =
-            PrimeProbeReceiver::new(prime_lines, s.params.tr).with_max_samples(samples);
-        let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
-        let limit = (message.len() as u64 + 1) * s.params.ts;
-        HyperThreaded::new(seed ^ 0x5eed).run(
-            &mut machine,
-            &mut [
-                ThreadHandle::new(sender_pid, &mut sender),
-                ThreadHandle::with_probe(receiver_pid, &mut receiver, probe),
-            ],
-            limit,
-        );
-
-        // A sweep that missed anywhere means someone displaced a
-        // primed line: windows where that keeps happening carry a 1.
-        let sweeps = receiver.into_samples();
-        let windows = message.len();
-        let mut hits = vec![0u32; windows];
-        let mut totals = vec![0u32; windows];
-        for sw in &sweeps {
-            let w = (sw.at / s.params.ts) as usize;
-            if w < windows {
-                totals[w] += 1;
-                if sw.misses > 0 {
-                    hits[w] += 1;
-                }
+    // A sweep that missed anywhere means someone displaced a
+    // primed line: windows where that keeps happening carry a 1.
+    let sweeps = receiver.into_samples();
+    let windows = message.len();
+    let mut hits = vec![0u32; windows];
+    let mut totals = vec![0u32; windows];
+    for sw in &sweeps {
+        let w = (sw.at / s.params.ts) as usize;
+        if w < windows {
+            totals[w] += 1;
+            if sw.misses > 0 {
+                hits[w] += 1;
             }
         }
-        let bits: Vec<bool> = (0..windows)
-            .map(|w| totals[w] > 0 && f64::from(hits[w]) / f64::from(totals[w]) >= 0.25)
-            .collect();
-        let err = error_rate(&message, &bits);
-        let missy = sweeps.iter().filter(|x| x.misses > 0).count();
-        Outcome {
-            metrics: Value::obj()
-                .with("sweeps", sweeps.len())
-                .with("timed_loads_per_observation", ways)
-                .with(
-                    "miss_sweep_fraction",
-                    missy as f64 / sweeps.len().max(1) as f64,
-                )
-                .with("error_rate", err)
-                .with("sent", bitstring(&message, 512))
-                .with("decoded", bitstring(&bits, 512)),
-        }
     }
+    let bits: Vec<bool> = (0..windows)
+        .map(|w| totals[w] > 0 && f64::from(hits[w]) / f64::from(totals[w]) >= 0.25)
+        .collect();
+    let err = error_rate(&message, &bits);
+    let missy = sweeps.iter().filter(|x| x.misses > 0).count();
+    Value::obj()
+        .with("sweeps", sweeps.len())
+        .with("timed_loads_per_observation", ways)
+        .with(
+            "miss_sweep_fraction",
+            missy as f64 / sweeps.len().max(1) as f64,
+        )
+        .with("error_rate", err)
+        .with("sent", bitstring(&message, 512))
+        .with("decoded", bitstring(&bits, 512))
 }
 
 /// The Flush+Reload baseline, `clflush` or L1-eviction-set flavor.
-pub struct FlushReloadExperiment(pub Scenario);
+fn flush_reload(s: &Scenario, samples: usize, to_mem: bool, seed: u64) -> Value {
+    let message = s.message.bits(seed);
+    let mut machine = machine(s, seed);
+    let sender_pid = machine.create_process();
+    let receiver_pid = machine.create_process();
+    // Flush+Reload needs the shared line of Algorithm 1's setup.
+    let endpoints = setup::alg1(&mut machine, sender_pid, receiver_pid, s.params.target_set);
+    let eviction = if to_mem {
+        EvictionMethod::Clflush
+    } else {
+        EvictionMethod::L1EvictionSet(endpoints.receiver_lines[1..9].to_vec())
+    };
+    let mut receiver = FlushReloadReceiver::new(endpoints.receiver_lines[0], eviction, s.params.tr)
+        .with_max_samples(samples);
+    run_baseline(s, &mut machine, &endpoints, &message, &mut receiver, seed);
 
-impl Experiment for FlushReloadExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::FlushReload { samples, to_mem } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let message = s.message.bits(seed);
-        let mut machine = Machine::new(platform.arch, s.policy, seed);
-        let sender_pid = machine.create_process();
-        let receiver_pid = machine.create_process();
-        // Flush+Reload needs the shared line of Algorithm 1's setup.
-        let endpoints = setup::alg1(&mut machine, sender_pid, receiver_pid, s.params.target_set);
-        let eviction = if to_mem {
-            EvictionMethod::Clflush
-        } else {
-            EvictionMethod::L1EvictionSet(endpoints.receiver_lines[1..9].to_vec())
-        };
-        let mut sender = LruSender::new(endpoints.sender_line, message.clone(), s.params.ts);
-        let mut receiver =
-            FlushReloadReceiver::new(endpoints.receiver_lines[0], eviction, s.params.tr)
-                .with_max_samples(samples);
-        let probe = LatencyProbe::new(&mut machine, receiver_pid, platform.tsc, 63);
-        let limit = (message.len() as u64 + 1) * s.params.ts;
-        HyperThreaded::new(seed ^ 0x5eed).run(
-            &mut machine,
-            &mut [
-                ThreadHandle::new(sender_pid, &mut sender),
-                ThreadHandle::with_probe(receiver_pid, &mut receiver, probe),
-            ],
-            limit,
-        );
-        let observations = receiver.into_samples();
-        let threshold = platform.hit_threshold();
-        let bits = decode::bits_by_window(
-            &observations,
-            s.params.ts,
-            threshold,
-            BitConvention::HitIsOne,
-        );
-        let err = error_rate(&message, &bits[..message.len().min(bits.len())]);
-        Outcome {
-            metrics: Value::obj()
-                .with("samples", observations.len())
-                .with("to_mem", to_mem)
-                .with("error_rate", err)
-                .with("sent", bitstring(&message, 512))
-                .with("decoded", bitstring(&bits, 512)),
-        }
+    let observations = receiver.into_samples();
+    let threshold = s.platform.platform().hit_threshold();
+    let bits = decode::bits_by_window(
+        &observations,
+        s.params.ts,
+        threshold,
+        BitConvention::HitIsOne,
+    );
+    let err = error_rate(&message, &bits[..message.len().min(bits.len())]);
+    Value::obj()
+        .with("samples", observations.len())
+        .with("to_mem", to_mem)
+        .with("error_rate", err)
+        .with("sent", bitstring(&message, 512))
+        .with("decoded", bitstring(&bits, 512))
+}
+
+/// The Spectre harness's disclosure channel for a scenario channel;
+/// both Flush+Reload flavors disclose through `clflush`.
+fn spectre_channel(channel: ChannelId) -> SpectreChannel {
+    match channel {
+        ChannelId::FlushReloadMem | ChannelId::FlushReloadL1 => SpectreChannel::FlushReload,
+        ChannelId::LruAlg1 => SpectreChannel::LruAlg1,
+        ChannelId::LruAlg2 => SpectreChannel::LruAlg2,
     }
 }
 
-fn spectre_recover(
-    machine: &mut Machine,
-    platform: lru_channel::params::Platform,
-    channel: ChannelId,
-    attack: &SpectreAttack,
-    secret: &str,
-    warm: bool,
-) -> (String, f64) {
-    let symbols = encode_symbols(secret);
-    let (mut victim, off) = build_victim(machine, &symbols, 8);
-    let got = match channel {
-        ChannelId::FlushReloadMem | ChannelId::FlushReloadL1 => {
-            let mut p = FlushReloadPrimitive::new(victim.pid, victim.array2, platform);
-            if warm {
-                attack.recover(machine, &mut victim, &mut p, off, 1);
-                machine.reset_counters();
-            }
-            attack.recover(machine, &mut victim, &mut p, off, symbols.len())
-        }
-        ChannelId::LruAlg1 => {
-            let mut p = LruAlg1Primitive::new(machine, victim.pid, victim.array2, platform);
-            if warm {
-                attack.recover(machine, &mut victim, &mut p, off, 1);
-                machine.reset_counters();
-            }
-            attack.recover(machine, &mut victim, &mut p, off, symbols.len())
-        }
-        ChannelId::LruAlg2 => {
-            let mut p = LruAlg2Primitive::new(machine, victim.pid, victim.array2, platform);
-            if warm {
-                attack.recover(machine, &mut victim, &mut p, off, 1);
-                machine.reset_counters();
-            }
-            attack.recover(machine, &mut victim, &mut p, off, symbols.len())
-        }
+/// Spectre-v1 secret recovery through a disclosure channel (§VIII,
+/// Appendix C).
+fn spectre(s: &Scenario, channel: ChannelId, rounds: usize, prefetcher: bool, seed: u64) -> Value {
+    let secret = s.message.text().expect("checked at build");
+    let platform = s.platform.platform();
+    let mut machine = machine(s, seed);
+    if prefetcher {
+        *machine.hierarchy_mut() = platform
+            .arch
+            .build_hierarchy(s.policy, seed)
+            .with_prefetcher(Prefetcher::next_line());
+    }
+    let attack = SpectreAttack {
+        rounds,
+        seed,
+        ..SpectreAttack::default()
     };
-    let text = decode_symbols(&got);
+    let recovery = attack.recover_secret(
+        &mut machine,
+        platform,
+        spectre_channel(channel),
+        secret,
+        true,
+    );
+    let text = decode_symbols(&recovery.symbols);
     let correct = text
         .bytes()
         .zip(secret.bytes())
         .filter(|(a, b)| a == b)
         .count();
-    (text, correct as f64 / secret.len().max(1) as f64)
-}
-
-/// Spectre-v1 secret recovery through a disclosure channel (§VIII,
-/// Appendix C).
-pub struct SpectreExperiment(pub Scenario);
-
-impl Experiment for SpectreExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::Spectre {
-            channel,
-            rounds,
-            prefetcher,
-        } = s.kind
-        else {
-            unreachable!("kind checked at build");
-        };
-        let secret = s.message.text().expect("checked at build");
-        let platform = s.platform.platform();
-        let mut machine = Machine::new(platform.arch, s.policy, seed);
-        if prefetcher {
-            *machine.hierarchy_mut() = platform
-                .arch
-                .build_hierarchy(s.policy, seed)
-                .with_prefetcher(Prefetcher::next_line());
-        }
-        let attack = SpectreAttack {
-            rounds,
-            seed,
-            ..SpectreAttack::default()
-        };
-        let (text, accuracy) =
-            spectre_recover(&mut machine, platform, channel, &attack, secret, true);
-        Outcome {
-            metrics: Value::obj()
-                .with("channel", channel.name())
-                .with("rounds", rounds)
-                .with("prefetcher", prefetcher)
-                .with("recovered", text)
-                .with("accuracy", accuracy),
-        }
-    }
+    Value::obj()
+        .with("channel", channel.name())
+        .with("rounds", rounds)
+        .with("prefetcher", prefetcher)
+        .with("recovered", text)
+        .with("accuracy", correct as f64 / secret.len().max(1) as f64)
 }
 
 fn leak_metrics(label: &str, flip: f64) -> Value {
@@ -910,219 +825,179 @@ fn leak_metrics(label: &str, flip: f64) -> Value {
 }
 
 /// Evaluates the scenario's `defense` axis (§IX).
-pub struct DefenseEvalExperiment(pub Scenario);
-
-impl Experiment for DefenseEvalExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::DefenseEval { trials } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let metrics = match s.defense {
-            DefenseId::PlCacheOriginal | DefenseId::PlCacheFixed => {
-                let design = if s.defense == DefenseId::PlCacheOriginal {
-                    PlDesign::Original
-                } else {
-                    PlDesign::Fixed
-                };
-                let bits: Vec<bool> = (0..trials).map(|i| i % 2 == 1).collect();
-                let run = pl_cache_alg2_trace(design, &bits, s.params.d, seed);
-                let p = |bit: bool| {
-                    let of: Vec<_> = run.trace.iter().filter(|t| t.bit == bit).collect();
-                    of.iter().filter(|t| t.hit).count() as f64 / of.len().max(1) as f64
-                };
-                let trace: Vec<Value> = run
-                    .trace
-                    .iter()
-                    .take(160)
-                    .map(|t| Value::from(t.latency))
-                    .collect();
-                Value::obj()
-                    .with("defense", s.defense.name())
-                    .with("iterations", trials)
-                    .with("trace", Value::Arr(trace))
-                    .with("p_hit_given_0", p(false))
-                    .with("p_hit_given_1", p(true))
-                    .with("distinguishability", run.distinguishability())
-            }
-            DefenseId::SharedPartition => leak_metrics(
-                s.defense.name(),
-                shared_plru_leak(trials, seed).victim_flip_rate,
-            ),
-            DefenseId::DawgPartition => leak_metrics(
-                s.defense.name(),
-                dawg_partitioned_leak(trials, seed).victim_flip_rate,
-            ),
-            DefenseId::RandomFill => {
-                let r = random_fill_leak(trials, seed);
-                Value::obj()
-                    .with("defense", s.defense.name())
-                    .with("hit_channel_flip_rate", r.hit_channel_flip_rate)
-                    .with("miss_channel_fill_rate", r.miss_channel_fill_rate)
-            }
-            DefenseId::IndexRandomization => {
-                let r = index_randomization_defeats_eviction(trials, seed);
-                Value::obj()
-                    .with("defense", s.defense.name())
-                    .with("baseline_eviction_rate", r.baseline_eviction_rate)
-                    .with("eviction_rate", r.eviction_rate)
-            }
-            DefenseId::InvisibleSpeculation => {
-                let secret = s.message.text().expect("checked at build");
-                let rows = delayed_update::ablation(secret, seed);
-                let rows_json: Vec<Value> = rows
-                    .iter()
-                    .map(|r| {
-                        Value::obj()
-                            .with("channel", format!("{:?}", r.channel))
-                            .with(
-                                "mode",
-                                if r.mode == SpecMode::Baseline {
-                                    "baseline"
-                                } else {
-                                    "invisible"
-                                },
-                            )
-                            .with("accuracy", r.accuracy)
-                    })
-                    .collect();
-                Value::obj()
-                    .with("defense", s.defense.name())
-                    .with("rows", Value::Arr(rows_json))
-            }
-            DefenseId::MissRateDetector => {
-                let verdicts = detection_study(s.platform.platform(), trials, seed);
-                let rows: Vec<Value> = verdicts
-                    .iter()
-                    .map(|v| {
-                        Value::obj()
-                            .with("label", v.label)
-                            .with("flagged", v.flagged)
-                            .with("l2_miss_rate", v.row.rates.l2)
-                            .with("llc_miss_rate", v.row.rates.llc)
-                    })
-                    .collect();
-                Value::obj()
-                    .with("defense", s.defense.name())
-                    .with("rows", Value::Arr(rows))
-            }
-            DefenseId::None => unreachable!("checked at build"),
-        };
-        Outcome { metrics }
+fn defense_eval(s: &Scenario, trials: usize, seed: u64) -> Value {
+    match s.defense {
+        DefenseId::PlCacheOriginal | DefenseId::PlCacheFixed => {
+            let design = if s.defense == DefenseId::PlCacheOriginal {
+                PlDesign::Original
+            } else {
+                PlDesign::Fixed
+            };
+            let bits: Vec<bool> = (0..trials).map(|i| i % 2 == 1).collect();
+            let run = pl_cache_alg2_trace(design, &bits, s.params.d, seed);
+            let p = |bit: bool| {
+                let of: Vec<_> = run.trace.iter().filter(|t| t.bit == bit).collect();
+                of.iter().filter(|t| t.hit).count() as f64 / of.len().max(1) as f64
+            };
+            let trace: Vec<Value> = run
+                .trace
+                .iter()
+                .take(160)
+                .map(|t| Value::from(t.latency))
+                .collect();
+            Value::obj()
+                .with("defense", s.defense.name())
+                .with("iterations", trials)
+                .with("trace", Value::Arr(trace))
+                .with("p_hit_given_0", p(false))
+                .with("p_hit_given_1", p(true))
+                .with("distinguishability", run.distinguishability())
+        }
+        DefenseId::SharedPartition => leak_metrics(
+            s.defense.name(),
+            shared_plru_leak(trials, seed).victim_flip_rate,
+        ),
+        DefenseId::DawgPartition => leak_metrics(
+            s.defense.name(),
+            dawg_partitioned_leak(trials, seed).victim_flip_rate,
+        ),
+        DefenseId::RandomFill => {
+            let r = random_fill_leak(trials, seed);
+            Value::obj()
+                .with("defense", s.defense.name())
+                .with("hit_channel_flip_rate", r.hit_channel_flip_rate)
+                .with("miss_channel_fill_rate", r.miss_channel_fill_rate)
+        }
+        DefenseId::IndexRandomization => {
+            let r = index_randomization_defeats_eviction(trials, seed);
+            Value::obj()
+                .with("defense", s.defense.name())
+                .with("baseline_eviction_rate", r.baseline_eviction_rate)
+                .with("eviction_rate", r.eviction_rate)
+        }
+        DefenseId::InvisibleSpeculation => {
+            let secret = s.message.text().expect("checked at build");
+            let rows = delayed_update::ablation(secret, seed);
+            let rows_json: Vec<Value> = rows
+                .iter()
+                .map(|r| {
+                    Value::obj()
+                        .with("channel", format!("{:?}", r.channel))
+                        .with(
+                            "mode",
+                            if r.mode == SpecMode::Baseline {
+                                "baseline"
+                            } else {
+                                "invisible"
+                            },
+                        )
+                        .with("accuracy", r.accuracy)
+                })
+                .collect();
+            Value::obj()
+                .with("defense", s.defense.name())
+                .with("rows", Value::Arr(rows_json))
+        }
+        DefenseId::MissRateDetector => {
+            let verdicts = detection_study(s.platform.platform(), trials, seed);
+            let rows: Vec<Value> = verdicts
+                .iter()
+                .map(|v| {
+                    Value::obj()
+                        .with("label", v.label)
+                        .with("flagged", v.flagged)
+                        .with("l2_miss_rate", v.row.rates.l2)
+                        .with("llc_miss_rate", v.row.rates.llc)
+                })
+                .collect();
+            Value::obj()
+                .with("defense", s.defense.name())
+                .with("rows", Value::Arr(rows))
+        }
+        DefenseId::None => unreachable!("checked at build"),
     }
 }
 
 /// The Table I eviction-probability study.
-pub struct PlruEvictionExperiment(pub Scenario);
-
-impl Experiment for PlruEvictionExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::PlruEviction {
-            sequence,
-            init,
-            iterations,
-            trials,
-        } = s.kind
-        else {
-            unreachable!("kind checked at build");
-        };
-        let sequence = match sequence {
-            SequenceId::Seq1 => SequenceKind::Seq1,
-            SequenceId::Seq2 => SequenceKind::Seq2,
-        };
-        let init = match init {
-            InitId::Random => InitCond::Random,
-            InitId::Sequential => InitCond::Sequential,
-        };
-        let curve = eviction_curve(s.policy, sequence, init, iterations, trials, seed);
-        let probs: Vec<Value> = curve
-            .probabilities
-            .iter()
-            .map(|&p| Value::from(p))
-            .collect();
-        Outcome {
-            metrics: Value::obj()
-                .with("policy", crate::spec::policy_name(s.policy))
-                .with("probabilities", Value::Arr(probs))
-                .with("steady_state", curve.steady_state()),
-        }
-    }
+fn plru_eviction(
+    s: &Scenario,
+    sequence: SequenceId,
+    init: InitId,
+    iterations: usize,
+    trials: usize,
+    seed: u64,
+) -> Value {
+    let sequence = match sequence {
+        SequenceId::Seq1 => SequenceKind::Seq1,
+        SequenceId::Seq2 => SequenceKind::Seq2,
+    };
+    let init = match init {
+        InitId::Random => InitCond::Random,
+        InitId::Sequential => InitCond::Sequential,
+    };
+    let curve = eviction_curve(s.policy, sequence, init, iterations, trials, seed);
+    let probs: Vec<Value> = curve
+        .probabilities
+        .iter()
+        .map(|&p| Value::from(p))
+        .collect();
+    Value::obj()
+        .with("policy", crate::spec::policy_name(s.policy))
+        .with("probabilities", Value::Arr(probs))
+        .with("steady_state", curve.steady_state())
 }
 
 /// Table II: model vs measured L1/L2 latencies.
-pub struct LatencyCheckExperiment(pub Scenario);
-
-impl Experiment for LatencyCheckExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let platform = s.platform.platform();
-        let mut m = Machine::new(platform.arch, s.policy, seed);
-        let pid = m.create_process();
-        let va = m.alloc_pages(pid, 1);
-        m.access(pid, va); // now in L1
-        let l1_meas = m.access(pid, va).cycles;
-        // Evict from L1 only: fill the set with fresh lines.
-        for _ in 0..m.hierarchy().l1().geometry().ways() {
-            let page = m.alloc_pages(pid, 1);
-            m.access(pid, page);
-        }
-        let out = m.access(pid, va);
-        assert_eq!(out.level, HitLevel::L2, "eviction must stop at L2");
-        Outcome {
-            metrics: Value::obj()
-                .with("model", platform.arch.model)
-                .with("l1_model", platform.arch.latencies.l1)
-                .with("l2_model", platform.arch.latencies.l2)
-                .with("l1_measured", l1_meas)
-                .with("l2_measured", out.cycles),
-        }
+fn latency_check(s: &Scenario, seed: u64) -> Value {
+    let arch = s.platform.platform().arch;
+    let mut m = machine(s, seed);
+    let pid = m.create_process();
+    let va = m.alloc_pages(pid, 1);
+    m.access(pid, va); // now in L1
+    let l1_meas = m.access(pid, va).cycles;
+    // Evict from L1 only: fill the set with fresh lines.
+    for _ in 0..m.hierarchy().l1().geometry().ways() {
+        let page = m.alloc_pages(pid, 1);
+        m.access(pid, page);
     }
+    let out = m.access(pid, va);
+    assert_eq!(out.level, HitLevel::L2, "eviction must stop at L2");
+    Value::obj()
+        .with("model", arch.model)
+        .with("l1_model", arch.latencies.l1)
+        .with("l2_model", arch.latencies.l2)
+        .with("l1_measured", l1_meas)
+        .with("l2_measured", out.cycles)
 }
 
 /// Table III: the simulated platform's configuration.
-pub struct PlatformSpecExperiment(pub Scenario);
-
-impl Experiment for PlatformSpecExperiment {
-    fn run(&self, _seed: u64) -> Outcome {
-        let a = self.0.platform.platform().arch;
-        let tsc = self.0.platform.platform().tsc;
-        Outcome {
-            metrics: Value::obj()
-                .with("model", a.model)
-                .with("uarch", a.name)
-                .with("freq_ghz", a.freq_ghz)
-                .with("l1d_kb", a.l1d.size_bytes() / 1024)
-                .with("ways", a.l1d.ways())
-                .with("sets", a.l1d.num_sets())
-                .with("way_predictor", a.has_way_predictor)
-                .with("tsc_granularity", tsc.granularity),
-        }
-    }
+fn platform_spec(s: &Scenario) -> Value {
+    let platform = s.platform.platform();
+    let a = platform.arch;
+    Value::obj()
+        .with("model", a.model)
+        .with("uarch", a.name)
+        .with("freq_ghz", a.freq_ghz)
+        .with("l1d_kb", a.l1d.size_bytes() / 1024)
+        .with("ways", a.l1d.ways())
+        .with("sets", a.l1d.num_sets())
+        .with("way_predictor", a.has_way_predictor)
+        .with("tsc_granularity", platform.tsc.granularity)
 }
 
 /// Table V: encode latency of one channel.
-pub struct EncodingLatencyExperiment(pub Scenario);
-
-impl Experiment for EncodingLatencyExperiment {
-    fn run(&self, _seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::EncodingLatency { channel } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let encoded = match channel {
-            ChannelId::FlushReloadMem => EncodedChannel::FlushReloadMem,
-            ChannelId::FlushReloadL1 => EncodedChannel::FlushReloadL1,
-            ChannelId::LruAlg1 | ChannelId::LruAlg2 => EncodedChannel::LruChannel,
-        };
-        Outcome {
-            metrics: Value::obj()
-                .with("label", encoded.label())
-                .with("cycles", encoding_latency(s.platform.platform(), encoded)),
-        }
-    }
+fn encoding_latency_metrics(s: &Scenario, channel: ChannelId) -> Value {
+    let encoded = match channel {
+        ChannelId::FlushReloadMem => EncodedChannel::FlushReloadMem,
+        ChannelId::FlushReloadL1 => EncodedChannel::FlushReloadL1,
+        ChannelId::LruAlg1 | ChannelId::LruAlg2 => EncodedChannel::LruChannel,
+    };
+    Value::obj()
+        .with("label", encoded.label())
+        .with("cycles", encoding_latency(s.platform.platform(), encoded))
 }
 
+/// Tables VI/VII: one row of miss rates.
 fn miss_rate_row_metrics(row: &MissRateRow) -> Value {
     Value::obj()
         .with("label", row.label)
@@ -1132,53 +1007,6 @@ fn miss_rate_row_metrics(row: &MissRateRow) -> Value {
         .with("l1d_accesses", row.counters.l1d_accesses)
         .with("l2_accesses", row.counters.l2_accesses)
         .with("llc_accesses", row.counters.llc_accesses)
-}
-
-/// Table VI: sender-process miss rates in one co-run scenario.
-pub struct SenderMissRatesExperiment(pub Scenario);
-
-impl Experiment for SenderMissRatesExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::SenderMissRates { sender, bits } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let row = miss_rates::sender_miss_rates(
-            s.platform.platform(),
-            SenderScenario::ALL[sender],
-            bits,
-            seed,
-        );
-        Outcome {
-            metrics: miss_rate_row_metrics(&row),
-        }
-    }
-}
-
-/// Table VII: whole-attack miss rates through one channel.
-pub struct SpectreMissRatesExperiment(pub Scenario);
-
-impl Experiment for SpectreMissRatesExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::SpectreMissRates { channel } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let spectre_channel = match channel {
-            ChannelId::FlushReloadMem | ChannelId::FlushReloadL1 => SpectreChannel::FlushReloadMem,
-            ChannelId::LruAlg1 => SpectreChannel::LruAlg1,
-            ChannelId::LruAlg2 => SpectreChannel::LruAlg2,
-        };
-        let row = miss_rates::spectre_miss_rates(
-            s.platform.platform(),
-            spectre_channel,
-            s.message.text().expect("checked at build"),
-            seed,
-        );
-        Outcome {
-            metrics: miss_rate_row_metrics(&row),
-        }
-    }
 }
 
 fn histogram_rows(h: &Histogram) -> Value {
@@ -1191,175 +1019,142 @@ fn histogram_rows(h: &Histogram) -> Value {
 }
 
 /// Figs. 3/13: L1-hit vs L1-miss readout histograms.
-pub struct ProbeHistogramExperiment(pub Scenario);
+fn probe_histogram(s: &Scenario, samples: usize, single_load: bool, seed: u64) -> Value {
+    let platform = s.platform.platform();
+    let mut m = machine(s, seed);
+    let pid = m.create_process();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let probe = if single_load {
+        None
+    } else {
+        Some(LatencyProbe::new(&mut m, pid, platform.tsc, 63))
+    };
 
-impl Experiment for ProbeHistogramExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::ProbeHistogram {
-            samples,
-            single_load,
-        } = s.kind
-        else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let mut m = Machine::new(platform.arch, s.policy, seed);
-        let pid = m.create_process();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let probe = if single_load {
-            None
+    // L1-resident target in the target set; an eviction gang for
+    // the misses.
+    let target = m.alloc_pages(pid, 1);
+    let ways = m.hierarchy().l1().geometry().ways();
+    let gang: Vec<_> = (0..ways).map(|_| m.alloc_pages(pid, 1)).collect();
+    let mut hits = Histogram::new();
+    let mut misses = Histogram::new();
+    for i in 0..samples {
+        if i % 2 == 0 {
+            m.access(pid, target); // ensure L1 hit
+            let measured = match &probe {
+                Some(p) => p.measure(&mut m, pid, target, &mut rng).measured,
+                None => rdtscp_single(&mut m, pid, target, &platform.tsc, &mut rng).measured,
+            };
+            hits.add(measured);
         } else {
-            Some(LatencyProbe::new(&mut m, pid, platform.tsc, 63))
-        };
-
-        // L1-resident target in the target set; an eviction gang for
-        // the misses.
-        let target = m.alloc_pages(pid, 1);
-        let ways = m.hierarchy().l1().geometry().ways();
-        let gang: Vec<_> = (0..ways).map(|_| m.alloc_pages(pid, 1)).collect();
-        let mut hits = Histogram::new();
-        let mut misses = Histogram::new();
-        for i in 0..samples {
-            if i % 2 == 0 {
-                m.access(pid, target); // ensure L1 hit
-                let measured = match &probe {
-                    Some(p) => p.measure(&mut m, pid, target, &mut rng).measured,
-                    None => rdtscp_single(&mut m, pid, target, &platform.tsc, &mut rng).measured,
-                };
-                hits.add(measured);
-            } else {
-                for &g in &gang {
-                    m.access(pid, g); // evict target to L2
-                }
-                let measured = match &probe {
-                    Some(p) => {
-                        p.warm(&mut m, pid);
-                        p.measure(&mut m, pid, target, &mut rng).measured
-                    }
-                    None => rdtscp_single(&mut m, pid, target, &platform.tsc, &mut rng).measured,
-                };
-                misses.add(measured);
+            for &g in &gang {
+                m.access(pid, g); // evict target to L2
             }
-        }
-        Outcome {
-            metrics: Value::obj()
-                .with("single_load", single_load)
-                .with("hit_rows", histogram_rows(&hits))
-                .with("miss_rows", histogram_rows(&misses))
-                .with("hit_mean", hits.mean())
-                .with("miss_mean", misses.mean())
-                .with("overlap", hits.overlap(&misses))
-                .with("threshold", platform.hit_threshold()),
+            let measured = match &probe {
+                Some(p) => {
+                    p.warm(&mut m, pid);
+                    p.measure(&mut m, pid, target, &mut rng).measured
+                }
+                None => rdtscp_single(&mut m, pid, target, &platform.tsc, &mut rng).measured,
+            };
+            misses.add(measured);
         }
     }
+    Value::obj()
+        .with("single_load", single_load)
+        .with("hit_rows", histogram_rows(&hits))
+        .with("miss_rows", histogram_rows(&misses))
+        .with("hit_mean", hits.mean())
+        .with("miss_mean", misses.mean())
+        .with("overlap", hits.overlap(&misses))
+        .with("threshold", platform.hit_threshold())
 }
 
 /// Fig. 9: one benchmark under the Tree-PLRU / FIFO / Random family.
-pub struct PolicyPerfExperiment(pub Scenario);
-
-impl Experiment for PolicyPerfExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::PolicyPerf { accesses } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let WorkloadId::Benchmark(name) = &s.workload else {
-            unreachable!("workload checked at build");
-        };
-        let bench = Benchmark::by_name(name).expect("checked at build");
-        let arch = MicroArch::gem5_fig9();
-        let row = fig9_row(bench, &arch, accesses, seed);
-        let floats = |xs: [f64; 3]| Value::Arr(xs.iter().map(|&x| Value::from(x)).collect());
-        Outcome {
-            metrics: Value::obj()
-                .with("benchmark", row.name)
-                .with(
-                    "policies",
-                    Value::Arr(
-                        PolicyKind::FIG9
-                            .iter()
-                            .map(|&p| Value::from(crate::spec::policy_name(p)))
-                            .collect(),
-                    ),
-                )
-                .with(
-                    "l1d_miss_rates",
-                    floats([
-                        row.results[0].l1d_miss_rate,
-                        row.results[1].l1d_miss_rate,
-                        row.results[2].l1d_miss_rate,
-                    ]),
-                )
-                .with(
-                    "cpi",
-                    floats([row.results[0].cpi, row.results[1].cpi, row.results[2].cpi]),
-                )
-                .with("normalized_miss_rates", floats(row.normalized_miss_rates()))
-                .with("normalized_cpi", floats(row.normalized_cpi())),
-        }
-    }
+fn policy_perf(s: &Scenario, accesses: u64, seed: u64) -> Value {
+    let WorkloadId::Benchmark(name) = &s.workload else {
+        unreachable!("workload checked at build");
+    };
+    let bench = Benchmark::by_name(name).expect("checked at build");
+    let arch = MicroArch::gem5_fig9();
+    let row = fig9_row(bench, &arch, accesses, seed);
+    let floats = |xs: [f64; 3]| Value::Arr(xs.iter().map(|&x| Value::from(x)).collect());
+    Value::obj()
+        .with("benchmark", row.name)
+        .with(
+            "policies",
+            Value::Arr(
+                PolicyKind::FIG9
+                    .iter()
+                    .map(|&p| Value::from(crate::spec::policy_name(p)))
+                    .collect(),
+            ),
+        )
+        .with(
+            "l1d_miss_rates",
+            floats([
+                row.results[0].l1d_miss_rate,
+                row.results[1].l1d_miss_rate,
+                row.results[2].l1d_miss_rate,
+            ]),
+        )
+        .with(
+            "cpi",
+            floats([row.results[0].cpi, row.results[1].cpi, row.results[2].cpi]),
+        )
+        .with("normalized_miss_rates", floats(row.normalized_miss_rates()))
+        .with("normalized_cpi", floats(row.normalized_cpi()))
 }
 
 /// The §IV multi-set parallel channel.
-pub struct MultiSetExperiment(pub Scenario);
-
-impl Experiment for MultiSetExperiment {
-    fn run(&self, seed: u64) -> Outcome {
-        let s = &self.0;
-        let ExperimentKind::MultiSet { sets, frames } = s.kind else {
-            unreachable!("kind checked at build");
-        };
-        let platform = s.platform.platform();
-        let target_sets: Vec<usize> = (0..sets).map(|i| i * 3).collect();
-        // Text payloads ride one byte per frame, bit i on set i
-        // (build() guarantees sets == 8 for text); otherwise send
-        // seed-derived random frames.
-        let frame_bits: Vec<Vec<bool>> = match &s.message {
-            MessageSource::Text(payload) => payload
-                .bytes()
-                .map(|b| (0..8).map(|i| (b >> (7 - i)) & 1 == 1).collect())
-                .collect(),
-            _ => {
-                use rand::Rng;
-                let mut rng = SmallRng::seed_from_u64(seed);
-                (0..frames)
-                    .map(|_| (0..sets).map(|_| rng.gen_bool(0.5)).collect())
-                    .collect()
-            }
-        };
-        let run = run_parallel_alg1(
-            platform,
-            &target_sets,
-            s.params.d,
-            s.params.ts,
-            s.params.tr,
-            frame_bits.clone(),
-            seed,
-        )
-        .expect("validated at build");
-        let decoded = run.decode_frames(sets, s.params.ts, frame_bits.len());
-        let total = frame_bits.len() * sets;
-        let correct: usize = frame_bits
-            .iter()
-            .zip(&decoded)
-            .map(|(a, b)| a.iter().zip(b).filter(|(x, y)| x == y).count())
-            .sum();
-        let mut metrics = Value::obj()
-            .with("sets", sets)
-            .with("frames", frame_bits.len())
-            .with("samples", run.samples.len())
-            .with("rate_bps", run.rate_bps)
-            .with("accuracy", correct as f64 / total.max(1) as f64);
-        if s.message.text().is_some() {
-            let bytes: Vec<u8> = decoded
-                .iter()
-                .map(|f| f.iter().fold(0u8, |acc, &b| (acc << 1) | u8::from(b)))
-                .collect();
-            metrics = metrics.with("decoded_text", String::from_utf8_lossy(&bytes).into_owned());
+fn multi_set(s: &Scenario, sets: usize, frames: usize, seed: u64) -> Value {
+    let target_sets: Vec<usize> = (0..sets).map(|i| i * 3).collect();
+    // Text payloads ride one byte per frame, bit i on set i
+    // (build() guarantees sets == 8 for text); otherwise send
+    // seed-derived random frames.
+    let frame_bits: Vec<Vec<bool>> = match &s.message {
+        MessageSource::Text(payload) => payload
+            .bytes()
+            .map(|b| (0..8).map(|i| (b >> (7 - i)) & 1 == 1).collect())
+            .collect(),
+        _ => {
+            use rand::Rng;
+            let mut rng = SmallRng::seed_from_u64(seed);
+            (0..frames)
+                .map(|_| (0..sets).map(|_| rng.gen_bool(0.5)).collect())
+                .collect()
         }
-        Outcome { metrics }
+    };
+    let run = run_parallel_alg1(
+        s.platform.platform(),
+        &target_sets,
+        s.params.d,
+        s.params.ts,
+        s.params.tr,
+        frame_bits.clone(),
+        seed,
+    )
+    .expect("validated at build");
+    let decoded = run.decode_frames(sets, s.params.ts, frame_bits.len());
+    let total = frame_bits.len() * sets;
+    let correct: usize = frame_bits
+        .iter()
+        .zip(&decoded)
+        .map(|(a, b)| a.iter().zip(b).filter(|(x, y)| x == y).count())
+        .sum();
+    let mut metrics = Value::obj()
+        .with("sets", sets)
+        .with("frames", frame_bits.len())
+        .with("samples", run.samples.len())
+        .with("rate_bps", run.rate_bps)
+        .with("accuracy", correct as f64 / total.max(1) as f64);
+    if s.message.text().is_some() {
+        let bytes: Vec<u8> = decoded
+            .iter()
+            .map(|f| f.iter().fold(0u8, |acc, &b| (acc << 1) | u8::from(b)))
+            .collect();
+        metrics = metrics.with("decoded_text", String::from_utf8_lossy(&bytes).into_owned());
     }
+    metrics
 }
 
 #[cfg(test)]
@@ -1561,6 +1356,49 @@ mod tests {
             m.get("miss_sweep_fraction").unwrap().as_f64().unwrap() > 0.0,
             "the sender must displace primed lines sometimes"
         );
+    }
+
+    #[test]
+    fn baselines_keep_the_probe_chain_out_of_the_target_set() {
+        // Moving the target from set 62 to set 63 moves the receiver's
+        // pointer-chase chain from set 63 to set 62: a relabelling of
+        // two otherwise idle sets, so the decoded bits must not change.
+        // A chain left in set 63 would run inside the measured set.
+        let error_at = |target_set, variant, kind: ExperimentKind| {
+            let s = Scenario::builder()
+                .variant(variant)
+                .params(lru_channel::params::ChannelParams {
+                    d: 4,
+                    target_set,
+                    ts: 6_000,
+                    tr: 600,
+                })
+                .message(MessageSource::Random {
+                    bits: 64,
+                    repeats: 1,
+                })
+                .kind(kind)
+                .seed(9)
+                .build()
+                .unwrap();
+            let m = s.run_once(9).metrics;
+            m.get("error_rate").unwrap().as_f64().unwrap()
+        };
+        let prime_probe = ExperimentKind::PrimeProbe { samples: 400 };
+        let flush_reload_l1 = ExperimentKind::FlushReload {
+            samples: 400,
+            to_mem: false,
+        };
+        for (variant, kind) in [
+            (Variant::NoSharedMemory, prime_probe),
+            (Variant::SharedMemory, flush_reload_l1),
+        ] {
+            assert_eq!(
+                error_at(63, variant, kind.clone()),
+                error_at(62, variant, kind.clone()),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

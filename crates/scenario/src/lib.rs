@@ -6,19 +6,20 @@
 //! experiment is **described** as a [`spec::Scenario`] value —
 //! platform × replacement policy × protocol variant × core sharing ×
 //! defense × workload × message source × trial count × master seed —
-//! and **executed** through the [`experiment::Experiment`] trait,
-//! with every repetition fanned out deterministically over the
-//! host's cores by [`lru_channel::trials`].
+//! and **executed** by [`spec::Scenario::run_once`] — one `match` on
+//! the experiment kind, one function per kind — with every repetition
+//! fanned out deterministically over the host's cores by
+//! [`lru_channel::trials`].
 //!
 //! * [`spec`] — the serializable [`spec::Scenario`] type, its
 //!   validating builder (geometry violations reuse
 //!   [`lru_channel::params::ParamError`]) and lossless JSON
 //!   round-trip.
-//! * [`experiment`] — `run(seed) -> Outcome` implementations for
-//!   covert runs, the time-sliced percent-of-ones study, the
-//!   Prime+Probe and Flush+Reload baselines, the Spectre attack,
-//!   the §IX defense evaluations, and the table/figure substrate
-//!   checks.
+//! * [`experiment`] — the run path: `run_once(seed) -> Outcome`
+//!   dispatching to covert runs, the time-sliced percent-of-ones
+//!   study, the Prime+Probe and Flush+Reload baselines, the Spectre
+//!   attack, the §IX defense evaluations, and the table/figure
+//!   substrate checks.
 //! * [`aggregate`] — streaming reduction of trial outcomes: the
 //!   [`aggregate::Reducer`] trait, constant-memory
 //!   [`aggregate::ScalarStats`] / [`aggregate::KeyHistogram`]
@@ -105,7 +106,7 @@ pub use engine::{
     content_hash64, CacheStats, CancelToken, Engine, EngineError, FaultPlan, Job, JobProgress,
     JobStatus, ResultCache,
 };
-pub use experiment::{Experiment, LockstepIneligible, Outcome};
+pub use experiment::{LockstepIneligible, Outcome};
 pub use fmt::BENCH_SEED;
 pub use json::Value;
 pub use lru_channel::lockstep::LockstepMode;

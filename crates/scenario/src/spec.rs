@@ -1375,8 +1375,10 @@ impl ScenarioBuilder {
             ExperimentKind::MultiSet { sets, .. } => {
                 let num_sets = geom.num_sets() as usize;
                 // The highest set driven is (sets-1)*3 and the last
-                // set is reserved for the probe chain.
-                if *sets == 0 || (sets - 1) * 3 >= num_sets - 1 {
+                // set is reserved for the probe chain. Checked
+                // arithmetic: a huge `sets` must not wrap into range.
+                let highest = sets.checked_sub(1).and_then(|k| k.checked_mul(3));
+                if highest.is_none_or(|top| top >= num_sets - 1) {
                     return Err(ScenarioError::incompatible(format!(
                         "multi-set needs 1..{} sets, got {sets}",
                         (num_sets - 1) / 3 + 1
@@ -1446,9 +1448,10 @@ impl ScenarioBuilder {
             )));
         }
         // The hierarchy axis studies the inclusion model in
-        // isolation; the noise plumbing builds its machine before
-        // the swap point, so combining them would silently run the
-        // default hierarchy. Reject instead.
+        // isolation, on a quiet machine. The run path would thread a
+        // swapped hierarchy through a noisy run too, but no artifact
+        // crosses the two axes, so the combination is a scope limit:
+        // reject it rather than run an unstudied cell.
         if s.hierarchy != HierarchyId::Inclusive
             && (!s.noise.is_none() || s.workload == WorkloadId::BenignNoise)
         {
@@ -1557,6 +1560,38 @@ mod tests {
                 .build()
                 .unwrap_err();
             assert!(matches!(err, ScenarioError::Incompatible(_)), "sets={sets}");
+        }
+    }
+
+    #[test]
+    fn multi_set_counts_that_overflow_are_rejected_not_wrapped() {
+        // (sets - 1) * 3 wraps to 2 for this count on 64-bit targets;
+        // it must be rejected like any other out-of-range count.
+        for sets in [6_148_914_691_236_517_207u64, u64::MAX] {
+            let sets = usize::try_from(sets).unwrap_or(usize::MAX);
+            let err = Scenario::builder()
+                .kind(ExperimentKind::MultiSet { sets, frames: 1 })
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::Incompatible(_)),
+                "sets={sets}: {err:?}"
+            );
+            // The JSON front door goes through the same validation.
+            let text = Scenario::builder()
+                .build()
+                .unwrap()
+                .to_json()
+                .to_string()
+                .replace(
+                    r#""kind":{"covert":{}}"#,
+                    &format!(r#""kind":{{"multi-set":{{"sets":{sets},"frames":1}}}}"#),
+                );
+            assert!(text.contains("multi-set"), "{text}");
+            assert!(matches!(
+                Scenario::from_json_str(&text),
+                Err(ScenarioError::Incompatible(_))
+            ));
         }
     }
 

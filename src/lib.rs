@@ -12,7 +12,8 @@
 //! and Flush+Reload baselines, the Spectre attack, the §IX defense
 //! evaluations, every figure and table — is described by one
 //! declarative, serializable [`scenario::spec::Scenario`] value and
-//! executed through the [`scenario::experiment::Experiment`] trait.
+//! executed by [`scenario::spec::Scenario::run_once`], one `match` on
+//! the experiment kind.
 //! Paper artifacts are registered by ID in [`scenario::registry`]
 //! (`fig3`…`fig15`, `table1`…`table7`, ablations); the `lru-leak`
 //! CLI is a thin wrapper over that registry, so for a fixed seed
@@ -38,7 +39,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`scenario`] | **the public API**: declarative scenarios, the `Experiment` trait, the paper-artifact registry, deterministic JSON |
+//! | [`scenario`] | **the public API**: declarative scenarios, their single run path, the paper-artifact registry, deterministic JSON |
 //! | [`cache_sim`] | set-associative caches with observable replacement state, PL cache, AMD µtag way predictor, prefetchers, perf counters |
 //! | [`exec_sim`] | processes/page tables, timestamp-counter models, pointer-chase measurement, SMT & time-sliced schedulers, Spectre-v1 speculation |
 //! | [`lru_channel`] | **the paper's contribution**: Algorithms 1–3, decoders, the Table I PLRU study, Wagner–Fischer error analysis, the parallel trial driver, seed-derived noise models |
@@ -47,9 +48,10 @@
 //! | [`workloads`] | synthetic SPEC-like benchmark suite and CPI model for the defense study |
 //!
 //! Reaching below [`scenario`] into [`lru_channel`]'s
-//! `CovertConfig`/`percent_ones` is still supported for programmatic
-//! composition, but new experiments should be expressed as
-//! scenarios so they serialize, register and run from the CLI.
+//! `CovertConfig::run_on` / `percent_ones` (each takes the machine and
+//! the third party from the caller) is still supported for
+//! programmatic composition, but new experiments should be expressed
+//! as scenarios so they serialize, register and run from the CLI.
 //!
 //! See `examples/` for runnable demonstrations (all driven through
 //! the scenario API), `cargo bench --workspace` to regenerate every

@@ -1,7 +1,9 @@
 //! End-to-end covert-channel integration: both algorithms, all three
 //! simulated platforms, text payloads.
 
-use lru_leak::lru_channel::covert::{CovertConfig, Sharing, Variant};
+use lru_leak::cache_sim::replacement::PolicyKind;
+use lru_leak::exec_sim::machine::Machine;
+use lru_leak::lru_channel::covert::{CovertConfig, GridPoint, Sharing, Variant};
 use lru_leak::lru_channel::decode::{self, BitConvention};
 use lru_leak::lru_channel::edit_distance::error_rate;
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
@@ -144,8 +146,24 @@ fn time_sliced_channel_distinguishes_constant_bits() {
         ts: tr,
         tr,
     };
-    let p0 = percent_ones(platform, params, Variant::SharedMemory, false, 80, 5).unwrap();
-    let p1 = percent_ones(platform, params, Variant::SharedMemory, true, 80, 5).unwrap();
+    let run = |bit| {
+        let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, 5);
+        let point = GridPoint {
+            params,
+            bit,
+            seed: 5,
+        };
+        percent_ones(
+            &mut machine,
+            platform,
+            Variant::SharedMemory,
+            point,
+            80,
+            |_| None,
+        )
+        .unwrap()
+    };
+    let (p0, p1) = (run(false), run(true));
     assert!(p0 < 0.1, "sending 0 should read ~all zeros, got {p0:.2}");
     assert!(p1 > 0.15, "sending 1 must show up, got {p1:.2}");
 }
@@ -203,7 +221,7 @@ fn benign_noise_kills_time_sliced_alg2() {
     // any other process running during the large Tr pollutes the
     // target set. With a benign co-runner in the slice rotation, the
     // receiver's percent-of-ones stops depending on the sender's bit.
-    use lru_leak::lru_channel::covert::percent_ones_with_noise;
+    use lru_leak::lru_channel::covert::{benign_process, percent_ones};
     let platform = Platform::e5_2690();
     let tr = 100_000_000;
     let params = ChannelParams {
@@ -212,10 +230,24 @@ fn benign_noise_kills_time_sliced_alg2() {
         ts: tr,
         tr,
     };
-    let p0 =
-        percent_ones_with_noise(platform, params, Variant::NoSharedMemory, false, 60, 8).unwrap();
-    let p1 =
-        percent_ones_with_noise(platform, params, Variant::NoSharedMemory, true, 60, 8).unwrap();
+    let run = |bit| {
+        let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, 8);
+        let point = GridPoint {
+            params,
+            bit,
+            seed: 8,
+        };
+        percent_ones(
+            &mut machine,
+            platform,
+            Variant::NoSharedMemory,
+            point,
+            60,
+            |m| benign_process(m, 8),
+        )
+        .unwrap()
+    };
+    let (p0, p1) = (run(false), run(true));
     // Both polluted toward "miss": the gap collapses.
     assert!(
         (p1 - p0).abs() < 0.15,

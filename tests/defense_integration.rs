@@ -1,9 +1,10 @@
 //! Defense integration: each §IX mitigation actually stops the
 //! channel it targets, at the claimed cost.
 
+use lru_leak::attacks::spectre::SpectreChannel;
 use lru_leak::cache_sim::plcache::PlDesign;
 use lru_leak::cache_sim::replacement::PolicyKind;
-use lru_leak::defense::delayed_update::{spectre_under_mode, Channel};
+use lru_leak::defense::delayed_update::spectre_under_mode;
 use lru_leak::defense::detection::{detection_study, MissRateDetector};
 use lru_leak::defense::partition_eval::{dawg_partitioned_leak, shared_plru_leak};
 use lru_leak::defense::pl_cache_eval::fig11;
@@ -13,6 +14,7 @@ use lru_leak::exec_sim::speculation::SpecMode;
 use lru_leak::lru_channel::covert::{CovertConfig, Sharing, Variant};
 use lru_leak::lru_channel::decode::{self, BitConvention};
 use lru_leak::lru_channel::edit_distance::error_rate;
+use lru_leak::lru_channel::noise::NoiseModel;
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
 use lru_leak::workloads::spec_like::Benchmark;
 
@@ -28,7 +30,7 @@ fn alg1_error_under_policy(policy: PolicyKind) -> f64 {
         seed: 40,
     };
     let mut machine = Machine::new(platform.arch, policy, 40);
-    let run = cfg.run_on(&mut machine).unwrap();
+    let run = cfg.run_on(&mut machine, NoiseModel::None).unwrap();
     let bits = decode::bits_by_window(
         &run.samples,
         cfg.params.ts,
@@ -85,7 +87,7 @@ fn dawg_partitioning_closes_what_way_partitioning_leaves_open() {
 
 #[test]
 fn invisible_speculation_stops_spectre_but_baseline_leaks() {
-    for channel in [Channel::FlushReload, Channel::LruAlg1, Channel::LruAlg2] {
+    for channel in SpectreChannel::ALL {
         let base = spectre_under_mode(channel, SpecMode::Baseline, "ok", 44);
         let inv = spectre_under_mode(channel, SpecMode::Invisible, "ok", 44);
         assert!(

@@ -11,7 +11,7 @@
 //!
 //! This suite pins that demotion:
 //!
-//! * fixed covert-channel cells (`percent_ones_with_hierarchy`) are
+//! * fixed covert-channel cells (`percent_ones` on a swapped machine) are
 //!   engine-invariant under all three inclusion models;
 //! * property tests run random short programs with a `RandomTouches`
 //!   co-runner on the back-invalidating machine and require identical
@@ -31,7 +31,7 @@ use lru_leak::exec_sim::sched::{
 };
 use lru_leak::exec_sim::LatencyProbe;
 use lru_leak::exec_sim::TscModel;
-use lru_leak::lru_channel::covert::{percent_ones_with_hierarchy, Variant};
+use lru_leak::lru_channel::covert::{percent_ones, GridPoint, Variant};
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
 use proptest::prelude::*;
 
@@ -93,15 +93,24 @@ fn covert_cells_are_engine_invariant_under_every_inclusion() {
         Inclusion::BackInvalidate,
     ] {
         for bit in [false, true] {
+            let point = GridPoint {
+                params,
+                bit,
+                seed: 13,
+            };
             let (fast, refr) = under_both_engines(|| {
-                percent_ones_with_hierarchy(
+                let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, 13);
+                if inclusion != Inclusion::Inclusive {
+                    let swapped = machine.hierarchy().clone().with_inclusion(inclusion);
+                    *machine.hierarchy_mut() = swapped;
+                }
+                percent_ones(
+                    &mut machine,
                     platform,
-                    params,
                     Variant::SharedMemory,
-                    bit,
+                    point,
                     20,
-                    inclusion,
-                    13,
+                    |_| None,
                 )
                 .unwrap()
             });

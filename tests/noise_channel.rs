@@ -2,7 +2,7 @@
 //! must actually disturb the channel, stay fully deterministic, and
 //! surface through the scenario/registry/CLI layers.
 
-use lru_leak::lru_channel::covert::{percent_ones_noisy, CovertConfig, Sharing, Variant};
+use lru_leak::lru_channel::covert::{percent_ones, CovertConfig, GridPoint, Sharing, Variant};
 use lru_leak::lru_channel::decode::{self, BitConvention};
 use lru_leak::lru_channel::edit_distance::error_rate;
 use lru_leak::lru_channel::noise::NoiseModel;
@@ -27,7 +27,7 @@ fn alg2_error(noise: NoiseModel, seed: u64) -> f64 {
         seed,
     };
     let mut machine = Machine::new(cfg.platform.arch, PolicyKind::TreePlru, seed);
-    let run = cfg.run_on_with_noise(&mut machine, noise).unwrap();
+    let run = cfg.run_on(&mut machine, noise).unwrap();
     let bits = decode::bits_by_window_ratio(
         &run.samples,
         params.ts,
@@ -55,25 +55,6 @@ fn heavy_interference_degrades_algorithm_2() {
 }
 
 #[test]
-fn noise_none_is_byte_identical_to_the_two_thread_path() {
-    let msg: Vec<bool> = (0..12).map(|i| i % 2 == 1).collect();
-    let cfg = CovertConfig {
-        platform: Platform::e5_2690(),
-        params: ChannelParams::paper_alg1_default(),
-        variant: Variant::SharedMemory,
-        sharing: Sharing::HyperThreaded,
-        message: msg,
-        seed: 7,
-    };
-    let mut m1 = Machine::new(cfg.platform.arch, PolicyKind::TreePlru, 7);
-    let mut m2 = Machine::new(cfg.platform.arch, PolicyKind::TreePlru, 7);
-    let plain = cfg.run_on(&mut m1).unwrap();
-    let with_none = cfg.run_on_with_noise(&mut m2, NoiseModel::None).unwrap();
-    assert_eq!(plain.samples, with_none.samples);
-    assert_eq!(plain.hit_threshold, with_none.hit_threshold);
-}
-
-#[test]
 fn noisy_runs_are_deterministic_per_seed() {
     let noise = NoiseModel::RandomEviction {
         lines: 512,
@@ -93,7 +74,7 @@ fn noisy_runs_are_deterministic_per_seed() {
             seed,
         };
         let mut m = Machine::new(cfg.platform.arch, PolicyKind::TreePlru, seed);
-        cfg.run_on_with_noise(&mut m, noise)
+        cfg.run_on(&mut m, noise)
             .unwrap()
             .samples
             .iter()
@@ -104,55 +85,40 @@ fn noisy_runs_are_deterministic_per_seed() {
 }
 
 #[test]
-fn percent_ones_noisy_none_delegates_and_noise_perturbs() {
-    use lru_leak::lru_channel::covert::percent_ones;
+fn noisy_percent_ones_perturbs_and_is_deterministic() {
     let platform = Platform::e5_2690();
-    let params = ChannelParams {
-        d: 8,
-        target_set: 0,
-        ts: 100_000_000,
-        tr: 100_000_000,
-    };
-    let clean = percent_ones(platform, params, Variant::SharedMemory, true, 12, 5).unwrap();
-    let delegated = percent_ones_noisy(
-        platform,
-        params,
-        Variant::SharedMemory,
-        true,
-        12,
-        NoiseModel::None,
-        5,
-    )
-    .unwrap();
-    assert_eq!(clean, delegated, "None must take the exact clean path");
-    let noisy = percent_ones_noisy(
-        platform,
-        params,
-        Variant::SharedMemory,
-        true,
-        12,
-        NoiseModel::RandomEviction {
-            lines: 512,
-            gap_cycles: 40,
+    let point = GridPoint {
+        params: ChannelParams {
+            d: 8,
+            target_set: 0,
+            ts: 100_000_000,
+            tr: 100_000_000,
         },
-        5,
-    )
-    .unwrap();
+        bit: true,
+        seed: 5,
+    };
+    let run = |noise: NoiseModel| {
+        let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, 5);
+        percent_ones(
+            &mut machine,
+            platform,
+            Variant::SharedMemory,
+            point,
+            12,
+            |m| noise.spawn(m, point.params.tr, 5),
+        )
+        .unwrap()
+    };
+    let noise = NoiseModel::RandomEviction {
+        lines: 512,
+        gap_cycles: 40,
+    };
+    let clean = run(NoiseModel::None);
+    let noisy = run(noise);
+    assert_ne!(clean, noisy, "interference must move the fraction");
     assert_eq!(
         noisy,
-        percent_ones_noisy(
-            platform,
-            params,
-            Variant::SharedMemory,
-            true,
-            12,
-            NoiseModel::RandomEviction {
-                lines: 512,
-                gap_cycles: 40,
-            },
-            5,
-        )
-        .unwrap(),
+        run(noise),
         "noisy percent-ones must be deterministic"
     );
 }

@@ -32,7 +32,7 @@ use lru_leak::exec_sim::sched::{
 };
 use lru_leak::exec_sim::LatencyProbe;
 use lru_leak::exec_sim::TscModel;
-use lru_leak::lru_channel::covert::{percent_ones, percent_ones_noisy, Variant};
+use lru_leak::lru_channel::covert::{percent_ones, GridPoint, Variant};
 use lru_leak::lru_channel::noise::NoiseModel;
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
 use lru_leak::scenario::registry::{self, RunOpts};
@@ -103,8 +103,18 @@ fn timesliced_percent_ones_is_engine_invariant_at_natural_periods() {
             ts: 100_000_000,
             tr: 100_000_000,
         };
+        let point = GridPoint { params, bit, seed };
         let (fast, refr) = under_both_engines(|| {
-            percent_ones(platform, params, Variant::SharedMemory, bit, 25, seed).unwrap()
+            let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, seed);
+            percent_ones(
+                &mut machine,
+                platform,
+                Variant::SharedMemory,
+                point,
+                25,
+                |_| None,
+            )
+            .unwrap()
         });
         assert_eq!(
             fast, refr,
@@ -146,9 +156,22 @@ fn noisy_percent_ones_is_engine_invariant() {
         NoiseModel::Bernoulli { p: 0.6, lines: 4 },
     ] {
         for bit in [false, true] {
+            let point = GridPoint {
+                params,
+                bit,
+                seed: 11,
+            };
             let (fast, refr) = under_both_engines(|| {
-                percent_ones_noisy(platform, params, Variant::SharedMemory, bit, 20, noise, 11)
-                    .unwrap()
+                let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, 11);
+                percent_ones(
+                    &mut machine,
+                    platform,
+                    Variant::SharedMemory,
+                    point,
+                    20,
+                    |m| noise.spawn(m, params.tr, 11),
+                )
+                .unwrap()
             });
             assert_eq!(
                 fast,

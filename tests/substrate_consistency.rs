@@ -7,6 +7,7 @@ use lru_leak::cache_sim::replacement::{Domain, PolicyKind, WayMask};
 use lru_leak::exec_sim::machine::Machine;
 use lru_leak::exec_sim::measure::{rdtscp_single, LatencyProbe};
 use lru_leak::exec_sim::tsc::TscModel;
+use lru_leak::lru_channel::noise::NoiseModel;
 use lru_leak::lru_channel::params::Platform;
 use lru_leak::lru_channel::plru_study::{eviction_curve, InitCond, SequenceKind};
 use rand::rngs::SmallRng;
@@ -225,7 +226,7 @@ fn channel_generalizes_to_a_16_way_cache() {
         message: message.clone(),
         seed: 80,
     }
-    .run_on(&mut machine)
+    .run_on(&mut machine, NoiseModel::None)
     .unwrap();
     let bits = decode::bits_by_window(
         &run.samples,

@@ -3,6 +3,8 @@
 //! seed derived from it), never on scheduling, worker count or
 //! completion order.
 
+use lru_leak::cache_sim::replacement::PolicyKind;
+use lru_leak::exec_sim::machine::Machine;
 use lru_leak::lru_channel::covert::{percent_ones, GridPoint, Variant};
 use lru_leak::lru_channel::params::{ChannelParams, Platform};
 use lru_leak::lru_channel::trials::{derive_seed, fold_chunk_size, run_trials_fold_ctrl, RunCtrl};
@@ -53,8 +55,17 @@ fn parallel_grid_matches_sequential_grid() {
     let points = small_grid();
     // Sequential oracle: map the same closure in index order on one
     // thread.
-    let run =
-        |p: &GridPoint| percent_ones(platform, p.params, Variant::SharedMemory, p.bit, 12, p.seed);
+    let run = |p: &GridPoint| {
+        let mut machine = Machine::new(platform.arch, PolicyKind::TreePlru, p.seed);
+        percent_ones(
+            &mut machine,
+            platform,
+            Variant::SharedMemory,
+            *p,
+            12,
+            |_| None,
+        )
+    };
     let seq: Vec<f64> = points.iter().map(|p| run(p).unwrap()).collect();
     // The same grid fanned out over the fold driver, one point per
     // trial index.
